@@ -3,9 +3,9 @@
 //! Robustness claims are only as good as the faults they were tested
 //! against. This module lets a test *plan* a fault — a panic, a stall, or a
 //! forced guard trip — at pass *i* of design *j*, and the pass engine fires
-//! it at exactly that point. Every recovery path in the hardened job runner
-//! (`xsfq_core::flow::SynthesisFlow::run_many_isolated`) is exercised by
-//! real injected faults rather than hand-mocked errors:
+//! it at exactly that point. Every recovery path in the flow's job runner
+//! (behind every `xsfq_core::flow::SynthesisFlow` entry point) is exercised
+//! by real injected faults rather than hand-mocked errors:
 //!
 //! * [`FaultKind::Panic`] — `panic!` inside the pass boundary, testing
 //!   per-job unwind isolation and partial-telemetry capture.
@@ -19,7 +19,9 @@
 //!   actually misbehaves.
 //!
 //! The plan is deterministic — `(design index, pass index) → fault` — so
-//! chaos tests are exactly reproducible under every pool size.
+//! chaos tests are exactly reproducible under every pool size. The design
+//! index is the position in a `run_many_isolated` batch; the single-design
+//! entries (`run`, `run_observed`, `run_job`) run as design 0.
 //!
 //! ```
 //! use xsfq_aig::chaos::{FaultKind, FaultPlan};

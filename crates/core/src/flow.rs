@@ -4,10 +4,16 @@
 //! cells, insert pipeline ranks and splitters, and report the numbers the
 //! evaluation tables are built from.
 //!
-//! Every stage is observable ([`FlowObserver`]), the optimization recipe is
-//! a first-class [`Script`] (the legacy [`Effort`] knob is a facade over
-//! the `fast`/`standard`/`high` presets), and whole designs batch across
-//! the executor with [`SynthesisFlow::run_many`].
+//! Every public entry point — [`SynthesisFlow::run`],
+//! [`SynthesisFlow::run_observed`], [`SynthesisFlow::run_many`],
+//! [`SynthesisFlow::run_many_isolated`] and [`SynthesisFlow::run_job`] — is
+//! a thin wrapper over one fault-isolated job runner, so they all share one
+//! deadline, chaos, lint and panic-containment path. Stage timing lands in
+//! [`FlowReport::stages`]; per-pass telemetry lands in
+//! [`FlowReport::passes`] and, live, in an optional [`PassObserver`]. The
+//! optimization recipe is a first-class [`Script`] (the legacy [`Effort`]
+//! knob is a facade over the `fast`/`standard`/`high` presets), and whole
+//! designs batch across the executor with [`SynthesisFlow::run_many`].
 
 use std::error::Error;
 use std::fmt;
@@ -16,13 +22,14 @@ use std::time::{Duration, Instant};
 
 use xsfq_aig::opt::Effort;
 use xsfq_aig::pass::{
-    CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassObserver, PassRegistry,
-    PassStat, Script, ScriptError,
+    GuardKind, PassArenas, PassCtx, PassGuards, PassObserver, PassRegistry, PassStat, Script,
+    ScriptError,
 };
 use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
 use xsfq_exec::{panic_message, CancelCause, CancelToken, ThreadPool};
 use xsfq_lint::{CheckLevel, Diag, NetlistProfile};
+use xsfq_netlist::writers::json_escape;
 use xsfq_netlist::Netlist;
 
 use crate::map::{map_with_assignment_pool, MapOptions, MappedDesign};
@@ -93,8 +100,10 @@ pub struct FlowOptions {
     /// to a build without the timing subsystem.
     pub timing: Option<TimingOptions>,
     /// Deterministic fault-injection plan, applied per batch design index
-    /// by [`SynthesisFlow::run_many_isolated`] (solo [`SynthesisFlow::run`]
-    /// ignores it). Test-only; see [`xsfq_aig::chaos`].
+    /// by [`SynthesisFlow::run_many_isolated`]; the single-design entries
+    /// ([`SynthesisFlow::run`], [`SynthesisFlow::run_observed`],
+    /// [`SynthesisFlow::run_job`]) run as design 0. Test-only; see
+    /// [`xsfq_aig::chaos`].
     #[cfg(feature = "chaos")]
     pub chaos: Option<xsfq_aig::chaos::FaultPlan>,
 }
@@ -191,9 +200,10 @@ impl From<ScriptError> for FlowError {
     }
 }
 
-/// Structured failure of one job of a [`SynthesisFlow::run_many_isolated`]
-/// batch: which design, what went wrong, which pass was in flight, how long
-/// the job ran, and the per-pass telemetry accumulated before the fault.
+/// Structured failure of one flow job ([`SynthesisFlow::run_job`], or one
+/// design of a [`SynthesisFlow::run_many_isolated`] batch): which design,
+/// what went wrong, which pass was in flight, how long the job ran, and
+/// the per-pass telemetry accumulated before the fault.
 #[derive(Debug)]
 pub struct JobError {
     /// Index of the design in the batch slice.
@@ -257,6 +267,21 @@ impl Error for JobError {
         match &self.kind {
             JobErrorKind::Flow(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl JobError {
+    /// The all-or-nothing entries' view of a job failure: a panic re-raises
+    /// (message, design and in-flight pass preserved), a cancellation or
+    /// deadline becomes [`FlowError::Cancelled`], a flow error passes
+    /// through.
+    fn into_flow_error(self) -> FlowError {
+        match self.kind {
+            JobErrorKind::Panicked { .. } => panic::panic_any(self.to_string()),
+            JobErrorKind::Cancelled => FlowError::Cancelled(CancelCause::Explicit),
+            JobErrorKind::DeadlineExpired => FlowError::Cancelled(CancelCause::Deadline),
+            JobErrorKind::Flow(e) => e,
         }
     }
 }
@@ -332,60 +357,6 @@ pub struct StageStat {
     pub wall_ns: u64,
 }
 
-/// Observer over a flow run: stage completions plus the per-pass telemetry
-/// of the optimization script.
-///
-/// All methods default to no-ops so implementors subscribe only to what
-/// they need. [`SynthesisFlow::run_observed`] drives it; plain
-/// [`SynthesisFlow::run`] records the same telemetry into
-/// [`FlowReport::passes`] / [`FlowReport::stages`] without callbacks.
-pub trait FlowObserver {
-    /// Called after every stage, in execution order.
-    fn on_stage(&mut self, _stat: &StageStat) {}
-    /// Called before every optimization pass starts. Fault isolation uses
-    /// this to attribute a panic or stall to the pass that was in flight.
-    fn on_pass_start(&mut self, _name: &str) {}
-    /// Called after every optimization pass, in execution order.
-    fn on_pass(&mut self, _stat: &PassStat) {}
-}
-
-/// Owns the optional [`FlowObserver`] for one flow run: forwards
-/// script-engine pass telemetry (as a [`PassObserver`]) and stage
-/// completions to it. Under [`CheckLevel::Paranoid`] it also validates
-/// the graph after every pass (via [`PassObserver::on_graph`], which
-/// sees the post-rollback graph) and accumulates any findings.
-struct ObserverProxy<'o> {
-    obs: Option<&'o mut dyn FlowObserver>,
-    check: CheckLevel,
-    lint: Vec<Diag>,
-}
-
-impl ObserverProxy<'_> {
-    fn on_stage(&mut self, stat: &StageStat) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_stage(stat);
-        }
-    }
-}
-
-impl PassObserver for ObserverProxy<'_> {
-    fn on_pass_start(&mut self, name: &str) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_pass_start(name);
-        }
-    }
-    fn on_pass(&mut self, stat: &PassStat) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_pass(stat);
-        }
-    }
-    fn on_graph(&mut self, aig: &Aig) {
-        if self.check >= CheckLevel::Paranoid {
-            self.lint.extend(xsfq_lint::lint_aig(aig));
-        }
-    }
-}
-
 /// Per-design report — the row format of the paper's Tables 3–6, plus the
 /// stage/pass telemetry of the run that produced it.
 #[derive(Clone, Debug)]
@@ -434,23 +405,6 @@ pub struct FlowReport {
     /// [`FlowOptions::timing`] was unset (and then absent from the JSON,
     /// keeping untimed reports byte-identical to earlier releases).
     pub timing: Option<TimingSummary>,
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A JSON number token: finite floats print as-is, non-finite as `null`
@@ -574,32 +528,41 @@ impl FlowResult {
     }
 }
 
-/// Per-job runtime setup threaded into [`SynthesisFlow::run_compiled`]:
-/// the job's cancellation token and (under the `chaos` feature) its fault
-/// injector.
-struct JobSetup {
-    token: CancelToken,
-    #[cfg(feature = "chaos")]
-    chaos: Option<xsfq_aig::chaos::Injector>,
-}
-
-/// External telemetry recorder for fault-isolated jobs: unlike the
-/// [`PassCtx`]'s internal sink, it lives *outside* the `catch_unwind`
-/// boundary, so the completed-pass stats and the name of the in-flight
-/// pass survive a panic and land in the [`JobError`].
-#[derive(Default)]
-struct JobTrace {
+/// The one recorder of a job, owned by the job runner *outside* the
+/// `catch_unwind` boundary so the completed-pass stats and the name of the
+/// in-flight pass survive a panic and land in the [`JobError`]. It also
+/// runs the [`CheckLevel::Paranoid`] per-pass lint (via
+/// [`PassObserver::on_graph`], which sees the post-rollback graph) and
+/// forwards every event to the caller's observer, if any.
+struct JobTrace<'o> {
     passes: Vec<PassStat>,
     current_pass: Option<String>,
+    check: CheckLevel,
+    lint: Vec<Diag>,
+    observer: Option<&'o mut dyn PassObserver>,
 }
 
-impl FlowObserver for JobTrace {
+impl PassObserver for JobTrace<'_> {
     fn on_pass_start(&mut self, name: &str) {
         self.current_pass = Some(name.to_string());
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_pass_start(name);
+        }
     }
     fn on_pass(&mut self, stat: &PassStat) {
         self.passes.push(stat.clone());
         self.current_pass = None;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_pass(stat);
+        }
+    }
+    fn on_graph(&mut self, aig: &Aig) {
+        if self.check >= CheckLevel::Paranoid {
+            self.lint.extend(xsfq_lint::lint_aig(aig));
+        }
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_graph(aig);
+        }
     }
 }
 
@@ -785,9 +748,11 @@ impl SynthesisFlow {
         self
     }
 
-    /// Install a deterministic fault-injection plan for
-    /// [`SynthesisFlow::run_many_isolated`] (see [`xsfq_aig::chaos`]).
-    /// Solo [`SynthesisFlow::run`] ignores the plan.
+    /// Install a deterministic fault-injection plan (see
+    /// [`xsfq_aig::chaos`]). Batch designs are addressed by their index in
+    /// the [`SynthesisFlow::run_many_isolated`] slice; every single-design
+    /// entry ([`SynthesisFlow::run`], [`SynthesisFlow::run_job`], …) is
+    /// design 0.
     #[cfg(feature = "chaos")]
     #[must_use]
     pub fn chaos_plan(mut self, plan: xsfq_aig::chaos::FaultPlan) -> Self {
@@ -798,16 +763,6 @@ impl SynthesisFlow {
     /// Current options.
     pub fn options(&self) -> &FlowOptions {
         &self.options
-    }
-
-    /// The effective script (options script plus the compatibility `fraig`
-    /// suffix), compiled against [`flow_registry`].
-    fn compiled_script(&self) -> Result<CompiledScript, FlowError> {
-        let mut script = self.options.script.clone();
-        if self.options.fraig {
-            script = script.then(Script::single("f"));
-        }
-        Ok(script.compile(&flow_registry())?)
     }
 
     /// The cancellation token one job polls: the configured batch token
@@ -828,7 +783,8 @@ impl SynthesisFlow {
         }
     }
 
-    /// Run the flow on a design.
+    /// Run the flow on a design (on the [`SynthesisFlow::threads`] pool,
+    /// with fresh arenas that are freed when the optimize stage ends).
     ///
     /// # Errors
     ///
@@ -836,30 +792,31 @@ impl SynthesisFlow {
     /// against [`flow_registry`]; [`FlowError::PipelineOnSequential`] when
     /// pipeline stages are requested for a design with latches;
     /// [`FlowError::Verification`] when the mapped netlist fails the
-    /// equivalence proof.
+    /// equivalence proof. A job that panicked re-raises its panic (message
+    /// preserved); a cancelled or deadline-expired job surfaces as
+    /// [`FlowError::Cancelled`].
     pub fn run(&self, aig: &Aig) -> Result<FlowResult, FlowError> {
-        let compiled = self.compiled_script()?;
         let pool = self.flow_pool();
-        self.run_compiled(aig, &compiled, pool.get(), None, None, self.solo_setup())
+        self.run_isolated(aig, 0, pool.get(), None, None)
+            .map_err(JobError::into_flow_error)
     }
 
-    /// [`SynthesisFlow::run`] with an observer receiving stage and
-    /// per-pass telemetry as the flow executes.
+    /// [`SynthesisFlow::run`] with an observer receiving the per-pass
+    /// telemetry (and, via [`PassObserver::on_graph`], every intermediate
+    /// graph) as the script executes. Stage timing is in the result's
+    /// [`FlowReport::stages`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SynthesisFlow::run`].
     pub fn run_observed(
         &self,
         aig: &Aig,
-        observer: &mut dyn FlowObserver,
+        observer: &mut dyn PassObserver,
     ) -> Result<FlowResult, FlowError> {
-        let compiled = self.compiled_script()?;
         let pool = self.flow_pool();
-        self.run_compiled(
-            aig,
-            &compiled,
-            pool.get(),
-            Some(observer),
-            None,
-            self.solo_setup(),
-        )
+        self.run_isolated(aig, 0, pool.get(), None, Some(observer))
+            .map_err(JobError::into_flow_error)
     }
 
     /// Run the flow over a batch of designs, scheduling **whole designs**
@@ -878,27 +835,13 @@ impl SynthesisFlow {
     /// # Errors
     ///
     /// All-or-nothing wrapper over [`SynthesisFlow::run_many_isolated`]:
-    /// the first error in design order, if any design fails. A job that
-    /// panicked re-raises its panic (message preserved); a cancelled or
-    /// deadline-expired job surfaces as [`FlowError::Cancelled`].
+    /// the first error in design order, if any design fails, mapped as in
+    /// [`SynthesisFlow::run`].
     pub fn run_many(&self, designs: &[Aig]) -> Result<Vec<FlowResult>, FlowError> {
-        let mut out = Vec::with_capacity(designs.len());
-        for result in self.run_many_isolated(designs) {
-            match result {
-                Ok(res) => out.push(res),
-                Err(job) => {
-                    return Err(match job.kind {
-                        JobErrorKind::Panicked { .. } => panic::panic_any(job.to_string()),
-                        JobErrorKind::Cancelled => FlowError::Cancelled(CancelCause::Explicit),
-                        JobErrorKind::DeadlineExpired => {
-                            FlowError::Cancelled(CancelCause::Deadline)
-                        }
-                        JobErrorKind::Flow(e) => e,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.run_many_isolated(designs)
+            .into_iter()
+            .map(|result| result.map_err(JobError::into_flow_error))
+            .collect()
     }
 
     /// Fault-isolated batch runner: like [`SynthesisFlow::run_many`], but
@@ -919,34 +862,11 @@ impl SynthesisFlow {
     // (`FlowResult`) is larger still, so boxing the error buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn run_many_isolated(&self, designs: &[Aig]) -> Vec<Result<FlowResult, JobError>> {
-        let compiled = match self.compiled_script() {
-            Ok(c) => c,
-            Err(FlowError::Script(e)) => {
-                // Config error: no job can run; report it per design so the
-                // caller still gets one verdict per input.
-                return designs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, aig)| {
-                        Err(JobError {
-                            design: i,
-                            name: aig.name().to_string(),
-                            kind: JobErrorKind::Flow(FlowError::Script(e.clone())),
-                            pass: None,
-                            elapsed: Duration::ZERO,
-                            passes: Vec::new(),
-                        })
-                    })
-                    .collect();
-            }
-            Err(_) => unreachable!("compiled_script only fails with Script errors"),
-        };
-        let pool = self.flow_pool();
-        pool.get().map_init_coarse(
+        self.flow_pool().get().map_init_coarse(
             designs,
             || (ThreadPool::new(1), PassArenas::default()),
             |(inner, arenas), design, aig| {
-                self.run_one_isolated(aig, design, &compiled, inner, arenas)
+                self.run_isolated(aig, design, inner, Some(arenas), None)
             },
         )
     }
@@ -970,163 +890,113 @@ impl SynthesisFlow {
         pool: &ThreadPool,
         arenas: &mut PassArenas,
     ) -> Result<FlowResult, JobError> {
-        let compiled = match self.compiled_script() {
-            Ok(c) => c,
-            Err(e) => {
-                return Err(JobError {
-                    design: 0,
-                    name: aig.name().to_string(),
-                    kind: JobErrorKind::Flow(e),
-                    pass: None,
-                    elapsed: Duration::ZERO,
-                    passes: Vec::new(),
-                })
-            }
-        };
-        self.run_one_isolated(aig, 0, &compiled, pool, arenas)
+        self.run_isolated(aig, 0, pool, Some(arenas), None)
     }
 
-    /// One fault-isolated job: run the compiled flow under `catch_unwind`
-    /// with an external telemetry recorder, so pass stats and the in-flight
-    /// pass name survive a panic, and map every failure mode to a
-    /// [`JobError`].
+    /// The job runner every public entry point wraps: build the job's
+    /// token (its deadline counts from now), run the stages under
+    /// `catch_unwind` with a [`JobTrace`] recorder that outlives an unwind,
+    /// and map every outcome — flow error, cancellation, deadline, panic —
+    /// to a [`JobError`] for batch design `design`. `arenas`, when given,
+    /// is used warm and handed back warm; otherwise the job builds fresh
+    /// ones and frees them with the optimize context.
     #[allow(clippy::result_large_err)]
-    fn run_one_isolated(
+    fn run_isolated(
         &self,
         aig: &Aig,
         design: usize,
-        compiled: &CompiledScript,
-        inner: &ThreadPool,
-        arenas: &mut PassArenas,
+        pool: &ThreadPool,
+        arenas: Option<&mut PassArenas>,
+        observer: Option<&mut dyn PassObserver>,
     ) -> Result<FlowResult, JobError> {
-        // The deadline starts counting at job start, not batch start.
-        let setup = self.batch_setup(design);
-        let token = setup.token.clone();
+        let token = self.job_token();
         let started = Instant::now();
-        let mut trace = JobTrace::default();
+        let mut trace = JobTrace {
+            passes: Vec::new(),
+            current_pass: None,
+            check: self.options.check,
+            lint: Vec::new(),
+            observer,
+        };
         // The recorder and arenas stay valid across an unwind: the trace
         // only ever holds completed records, and a poisoned arena set is
-        // discarded with the job (the worker rebuilds cold arenas).
+        // discarded with the job (the caller is left with cold arenas).
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.run_compiled(aig, compiled, inner, Some(&mut trace), Some(arenas), setup)
+            self.run_stages(aig, design, pool, arenas, &token, &mut trace)
         }));
-        let elapsed = started.elapsed();
-        let job_error = |kind, trace: JobTrace| JobError {
+        let kind = match outcome {
+            Ok(Ok(result)) => return Ok(result),
+            // `current_pass` is still `Some` only when a pass was announced
+            // but never ran — a cancellation that hit inside the pass
+            // boundary; the attribution is kept.
+            Ok(Err(FlowError::Cancelled(CancelCause::Explicit))) => JobErrorKind::Cancelled,
+            Ok(Err(FlowError::Cancelled(CancelCause::Deadline))) => JobErrorKind::DeadlineExpired,
+            Ok(Err(e)) => JobErrorKind::Flow(e),
+            // A stalled-then-cancelled pass can also panic (safety caps);
+            // cancellation verdicts take precedence when the token fired.
+            Err(payload) => match token.cause() {
+                Some(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
+                Some(CancelCause::Explicit) => JobErrorKind::Cancelled,
+                None => JobErrorKind::Panicked {
+                    message: panic_message(payload.as_ref()).to_string(),
+                },
+            },
+        };
+        Err(JobError {
             design,
             name: aig.name().to_string(),
             kind,
             pass: trace.current_pass,
-            elapsed,
+            elapsed: started.elapsed(),
             passes: trace.passes,
-        };
-        match outcome {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(e)) => {
-                // `current_pass` is still `Some` only when a pass was
-                // announced but never ran — a cancellation that hit inside
-                // the pass boundary; keep the attribution.
-                let kind = match e {
-                    FlowError::Cancelled(CancelCause::Explicit) => JobErrorKind::Cancelled,
-                    FlowError::Cancelled(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
-                    other => JobErrorKind::Flow(other),
-                };
-                Err(job_error(kind, trace))
-            }
-            Err(payload) => {
-                // A stalled-then-cancelled pass can also panic (safety
-                // caps); cancellation verdicts take precedence when the
-                // token fired.
-                let kind = match token.cause() {
-                    Some(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
-                    Some(CancelCause::Explicit) => JobErrorKind::Cancelled,
-                    None => JobErrorKind::Panicked {
-                        message: panic_message(payload.as_ref()).to_string(),
-                    },
-                };
-                Err(job_error(kind, trace))
-            }
-        }
+        })
     }
 
-    /// Per-job runtime setup: the cancellation token (batch token tightened
-    /// by the job deadline) plus the design's chaos injector, if any.
-    fn solo_setup(&self) -> JobSetup {
-        JobSetup {
-            token: self.job_token(),
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
-    }
-
-    /// [`SynthesisFlow::solo_setup`] plus the chaos plan slice for batch
-    /// design `design`.
-    #[allow(unused_variables)]
-    fn batch_setup(&self, design: usize) -> JobSetup {
-        JobSetup {
-            token: self.job_token(),
-            #[cfg(feature = "chaos")]
-            chaos: self
-                .options
-                .chaos
-                .as_ref()
-                .and_then(|plan| plan.for_design(design)),
-        }
-    }
-
-    /// The staged pipeline body: Optimize → Pipeline → Polarity → Map →
-    /// [Timing] → Verify (Timing only when configured), with per-stage
-    /// timing, (optional) observer callbacks, and cancellation checks at
-    /// every stage boundary.
-    fn run_compiled(
+    /// The staged pipeline body: compile the script, then Optimize →
+    /// Pipeline → Polarity → Map → [Timing] → Verify (Timing only when
+    /// configured), with per-stage timing and cancellation checks at every
+    /// stage boundary.
+    // `design` only selects the chaos injector.
+    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
+    fn run_stages(
         &self,
         aig: &Aig,
-        compiled: &CompiledScript,
+        design: usize,
         pool: &ThreadPool,
-        observer: Option<&mut dyn FlowObserver>,
-        arenas: Option<&mut PassArenas>,
-        setup: JobSetup,
+        mut arenas: Option<&mut PassArenas>,
+        token: &CancelToken,
+        trace: &mut JobTrace<'_>,
     ) -> Result<FlowResult, FlowError> {
         let o = &self.options;
+        let mut script = o.script.clone();
+        if o.fraig {
+            script = script.then(Script::single("f"));
+        }
+        let compiled = script.compile(&flow_registry())?;
         if o.pipeline_stages > 0 && aig.num_latches() > 0 {
             return Err(FlowError::PipelineOnSequential);
         }
-        let token = setup.token;
-        let cancelled = |token: &CancelToken| {
-            FlowError::Cancelled(token.cause().unwrap_or(CancelCause::Explicit))
-        };
-        let mut proxy = ObserverProxy {
-            obs: observer,
-            check: o.check,
-            lint: Vec::new(),
-        };
+        let cancelled = || FlowError::Cancelled(token.cause().unwrap_or(CancelCause::Explicit));
         let mut stages: Vec<StageStat> = Vec::new();
-        let note = |stage: FlowStage,
-                    start: Instant,
-                    stages: &mut Vec<StageStat>,
-                    proxy: &mut ObserverProxy<'_>| {
-            let stat = StageStat {
+        let mut note = |stage: FlowStage, start: Instant| {
+            stages.push(StageStat {
                 stage,
                 wall_ns: start.elapsed().as_nanos() as u64,
-            };
-            proxy.on_stage(&stat);
-            stages.push(stat);
+            });
         };
 
-        // -- Optimize: the pass script, with per-pass telemetry. A batch
-        // driver hands in its worker's warm arena set; it is returned after
-        // the script so the next design reuses it.
+        // -- Optimize: the pass script, with per-pass telemetry.
         let start = Instant::now();
         let (optimized, passes, degraded, guard_trip, arena_lint) = {
-            let mut ctx = PassCtx::with_observer(pool, &mut proxy);
+            let mut ctx = PassCtx::with_observer(pool, trace);
             ctx.set_token(token.clone());
             ctx.set_guards(o.guards.clone());
             #[cfg(feature = "chaos")]
-            if let Some(injector) = setup.chaos {
+            if let Some(injector) = o.chaos.as_ref().and_then(|plan| plan.for_design(design)) {
                 ctx.set_chaos(injector);
             }
-            let mut arenas = arenas;
-            if let Some(store) = &mut arenas {
-                ctx.reuse_arenas(std::mem::take(*store));
+            if let Some(store) = arenas.as_deref_mut() {
+                ctx.reuse_arenas(std::mem::take(store));
             }
             let optimized = compiled.run(aig, &mut ctx);
             let passes = ctx.take_telemetry();
@@ -1146,15 +1016,15 @@ impl SynthesisFlow {
                 .map(|(pass, kind)| (pass.to_string(), kind));
             (optimized, passes, ctx.degraded(), guard_trip, arena_lint)
         };
-        note(FlowStage::Optimize, start, &mut stages, &mut proxy);
+        note(FlowStage::Optimize, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
         if let Some((pass, kind)) = guard_trip {
             return Err(FlowError::GuardTripped { pass, kind });
         }
         if o.check >= CheckLevel::Stage {
-            let mut diags = std::mem::take(&mut proxy.lint);
+            let mut diags = std::mem::take(&mut trace.lint);
             diags.extend(arena_lint);
             diags.extend(xsfq_lint::lint_aig(&optimized));
             if xsfq_lint::has_errors(&diags) {
@@ -1165,14 +1035,14 @@ impl SynthesisFlow {
         // -- Pipeline: rank-level selection (no-op for 0 stages).
         let start = Instant::now();
         let rank_levels = choose_rank_levels(&optimized, o.pipeline_stages, o.rank_window);
-        note(FlowStage::Pipeline, start, &mut stages, &mut proxy);
+        note(FlowStage::Pipeline, start);
 
         // -- Polarity: output phase assignment (parallel candidate costing).
         let start = Instant::now();
         let (assignment, _requirements) = assign_polarities_with_pool(&optimized, o.polarity, pool);
-        note(FlowStage::Polarity, start, &mut stages, &mut proxy);
+        note(FlowStage::Polarity, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
 
         // -- Map: dual-rail mapping (parallel requirements sweep, sequential
@@ -1188,9 +1058,9 @@ impl SynthesisFlow {
             assignment,
             pool,
         );
-        note(FlowStage::Map, start, &mut stages, &mut proxy);
+        note(FlowStage::Map, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
         if o.check >= CheckLevel::Stage {
             let mut diags = xsfq_lint::lint_netlist(&mapped.logical, NetlistProfile::Logical);
@@ -1215,9 +1085,9 @@ impl SynthesisFlow {
             if let Some(balanced) = outcome.netlist {
                 mapped.physical = balanced;
             }
-            note(FlowStage::Timing, start, &mut stages, &mut proxy);
+            note(FlowStage::Timing, start);
             if token.is_cancelled() {
-                return Err(cancelled(&token));
+                return Err(cancelled());
             }
             // Full balancing promises sub-tolerance residual skew; hold it
             // to that promise at Stage level (Budget/Off residue is the
@@ -1238,7 +1108,7 @@ impl SynthesisFlow {
         if o.verify && aig.num_latches() == 0 {
             let start = Instant::now();
             let verdict = verify_mapping(&optimized, &mapped, o.polarity);
-            note(FlowStage::Verify, start, &mut stages, &mut proxy);
+            note(FlowStage::Verify, start);
             verdict.map_err(FlowError::Verification)?;
         }
 
@@ -1443,18 +1313,22 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_stages_and_passes() {
+    fn observer_sees_every_pass_and_report_every_stage() {
         #[derive(Default)]
         struct Recorder {
-            stages: Vec<FlowStage>,
+            started: usize,
             passes: usize,
+            graphs: usize,
         }
-        impl FlowObserver for Recorder {
-            fn on_stage(&mut self, stat: &StageStat) {
-                self.stages.push(stat.stage);
+        impl PassObserver for Recorder {
+            fn on_pass_start(&mut self, _name: &str) {
+                self.started += 1;
             }
             fn on_pass(&mut self, _stat: &PassStat) {
                 self.passes += 1;
+            }
+            fn on_graph(&mut self, _aig: &Aig) {
+                self.graphs += 1;
             }
         }
         let mut g = Aig::new("fa");
@@ -1467,10 +1341,16 @@ mod tests {
         let mut rec = Recorder::default();
         let r = SynthesisFlow::new()
             .verify(true)
+            .check(CheckLevel::Paranoid)
             .run_observed(&g, &mut rec)
             .unwrap();
+        assert!(rec.passes > 0);
+        assert_eq!(rec.passes, r.report.passes.len());
+        assert_eq!(rec.started, rec.passes);
+        assert_eq!(rec.graphs, rec.passes);
+        let reported: Vec<FlowStage> = r.report.stages.iter().map(|s| s.stage).collect();
         assert_eq!(
-            rec.stages,
+            reported,
             vec![
                 FlowStage::Optimize,
                 FlowStage::Pipeline,
@@ -1479,11 +1359,6 @@ mod tests {
                 FlowStage::Verify
             ]
         );
-        assert_eq!(rec.passes, r.report.passes.len());
-        assert!(rec.passes > 0);
-        // Report telemetry matches the observed stage sequence.
-        let reported: Vec<FlowStage> = r.report.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(reported, rec.stages);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod polarity;
 pub mod verify;
 
 pub use flow::{
-    flow_registry, FlowError, FlowObserver, FlowOptions, FlowReport, FlowResult, FlowStage,
-    JobError, JobErrorKind, StageStat, SynthesisFlow,
+    flow_registry, FlowError, FlowOptions, FlowReport, FlowResult, FlowStage, JobError,
+    JobErrorKind, StageStat, SynthesisFlow,
 };
 pub use map::{
     map_with_assignment, map_with_assignment_pool, map_xsfq, map_xsfq_with_pool, MapOptions,

@@ -9,9 +9,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xsfq_aig::pass::PassStat;
+use xsfq_aig::pass::{PassObserver, PassStat};
 use xsfq_aig::{build, Aig, Lit};
-use xsfq_core::{FlowError, FlowObserver, JobErrorKind, SynthesisFlow};
+use xsfq_core::{FlowError, JobErrorKind, SynthesisFlow};
 use xsfq_exec::{CancelCause, CancelToken};
 
 fn adder() -> Aig {
@@ -40,7 +40,7 @@ struct CancelAfterFirstPass {
     seen: Arc<Mutex<Vec<PassStat>>>,
 }
 
-impl FlowObserver for CancelAfterFirstPass {
+impl PassObserver for CancelAfterFirstPass {
     fn on_pass(&mut self, stat: &PassStat) {
         let mut seen = self.seen.lock().unwrap();
         seen.push(stat.clone());

@@ -237,3 +237,60 @@ fn run_many_surfaces_deadlines_as_cancellation() {
         "expected a deadline cancellation, got {err:?}"
     );
 }
+
+/// Every public entry point is a wrapper over the same job runner. Under
+/// Paranoid checking (per-pass lint included) `run`, `run_job` and each
+/// `run_many_isolated` slot give bit-identical results, and a planned
+/// panic at design 0 surfaces from all three: as a `Panicked` verdict with
+/// the chaos payload from the isolated entries, and as a re-raised panic
+/// naming it from `run`.
+#[test]
+fn every_entry_point_shares_the_job_core() {
+    use std::panic::{self, AssertUnwindSafe};
+    use xsfq_aig::pass::PassArenas;
+    use xsfq_core::CheckLevel;
+    use xsfq_exec::{panic_message, ThreadPool};
+
+    let designs = batch();
+    let flow = SynthesisFlow::new().check(CheckLevel::Paranoid);
+    let pool = ThreadPool::global();
+    let mut arenas = PassArenas::default();
+    let batched = flow.run_many_isolated(&designs);
+    for (i, aig) in designs.iter().enumerate() {
+        let solo = flow.run(aig).expect("run");
+        let job = flow.run_job(aig, pool, &mut arenas).expect("run_job");
+        let slot = batched[i].as_ref().expect("run_many_isolated");
+        assert_bit_identical(&job, &solo);
+        assert_bit_identical(slot, &solo);
+    }
+
+    let faulty = flow.chaos_plan(FaultPlan::new().fault(0, 0, FaultKind::Panic));
+    let assert_chaos_panic = |kind: &JobErrorKind, entry: &str| match kind {
+        JobErrorKind::Panicked { message } => {
+            assert!(
+                message.contains("chaos"),
+                "{entry}: payload lost: {message}"
+            )
+        }
+        other => panic!("{entry}: expected a panic verdict, got {other:?}"),
+    };
+    let err = faulty
+        .run_job(&designs[0], pool, &mut arenas)
+        .expect_err("run_job must panic");
+    assert_eq!(err.design, 0);
+    assert_chaos_panic(&err.kind, "run_job");
+    let results = faulty.run_many_isolated(&designs);
+    let err = results[0].as_ref().expect_err("design 0 must panic");
+    assert_chaos_panic(&err.kind, "run_many_isolated");
+    assert!(
+        results[1..].iter().all(Result::is_ok),
+        "only design 0 faults"
+    );
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| faulty.run(&designs[0])))
+        .expect_err("run must re-raise the panic");
+    let message = panic_message(payload.as_ref());
+    assert!(
+        message.contains("panicked") && message.contains("chaos"),
+        "run re-raised an unnamed panic: {message}"
+    );
+}

@@ -1,4 +1,5 @@
-//! Netlist exporters: structural Verilog and Graphviz DOT.
+//! Netlist exporters: structural Verilog and Graphviz DOT, plus the JSON
+//! string escaper every report schema in the workspace shares.
 //!
 //! Port names pass through a collision-free sanitizer before they become
 //! Verilog identifiers: invalid characters map to `_` (which would merge
@@ -259,6 +260,26 @@ fn dot_label(name: &str) -> String {
         .collect()
 }
 
+/// Escape `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control byte (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`). Design and port names come from user netlists and may carry
+/// any of these.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,5 +385,14 @@ mod tests {
         assert!(text.starts_with("digraph"));
         assert!(text.trim_end().ends_with('}'));
         assert!(text.contains("pi0 -> c0"));
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_bytes() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l\nr\rt\t"), "l\\nr\\rt\\t");
+        assert_eq!(json_escape("x\u{1}y\u{1f}"), "x\\u0001y\\u001f");
+        assert_eq!(json_escape("µ€"), "µ€");
     }
 }

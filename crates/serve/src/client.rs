@@ -10,7 +10,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
     decode_response, read_frame, write_frame, ProtocolError, Response, SubmitRequest, KIND_PING,
-    KIND_STATS, KIND_SUBMIT,
+    KIND_STATS, KIND_SUBMIT, MAX_FRAME,
 };
 
 /// A connected client. See the [module docs](self).
@@ -80,7 +80,31 @@ impl Client {
     }
 
     /// Submit a netlist and block until its verdict.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] of kind [`io::ErrorKind::InvalidInput`], before
+    /// anything is sent, when the request cannot be framed: a script or
+    /// name over 65,535 bytes (the wire's `u16` length prefix), or a frame
+    /// body over [`MAX_FRAME`]. Otherwise transport and protocol failures.
     pub fn submit(&mut self, request: &SubmitRequest) -> Result<Response, ClientError> {
+        let invalid = |what: &str| {
+            Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("request not encodable: {what}"),
+            )))
+        };
+        let max_str = usize::from(u16::MAX);
+        if request.script.len() > max_str {
+            return invalid("script longer than 65535 bytes");
+        }
+        if request.name.len() > max_str {
+            return invalid("name longer than 65535 bytes");
+        }
+        // The frame body is the kind byte plus the payload.
+        if 1 + request.encoded_len() > MAX_FRAME {
+            return invalid("frame body exceeds MAX_FRAME");
+        }
         self.exchange(KIND_SUBMIT, &request.encode())
     }
 
@@ -92,5 +116,79 @@ impl Client {
     /// Server statistics snapshot (JSON bytes).
     pub fn stats(&mut self) -> Result<Response, ClientError> {
         self.exchange(KIND_STATS, &[])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Submit `request` to a local listener that records every byte it
+    /// receives; returns the client's error and the received bytes.
+    fn submit_to_recorder(request: &SubmitRequest) -> (ClientError, Vec<u8>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let recorder = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut got = Vec::new();
+            conn.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.submit(request).expect_err("request must be refused");
+        drop(client);
+        (err, recorder.join().unwrap())
+    }
+
+    fn request() -> SubmitRequest {
+        SubmitRequest {
+            script: String::new(),
+            name: String::new(),
+            data: b".model t\n.end\n".to_vec(),
+            fault: None,
+        }
+    }
+
+    #[test]
+    fn submit_refuses_unencodable_requests_before_sending() {
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        let oversized = [
+            SubmitRequest {
+                script: long.clone(),
+                ..request()
+            },
+            SubmitRequest {
+                name: long,
+                ..request()
+            },
+            // Zeroed pages: the body is never touched, so never resident.
+            SubmitRequest {
+                data: vec![0; MAX_FRAME],
+                ..request()
+            },
+        ];
+        for req in &oversized {
+            let (err, sent) = submit_to_recorder(req);
+            match err {
+                ClientError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+                other => panic!("expected InvalidInput, got {other}"),
+            }
+            assert!(sent.is_empty(), "{} bytes reached the wire", sent.len());
+        }
+    }
+
+    #[test]
+    fn requests_at_the_string_limit_round_trip() {
+        let at_limit = "x".repeat(usize::from(u16::MAX));
+        let req = SubmitRequest {
+            script: at_limit.clone(),
+            name: at_limit,
+            ..request()
+        };
+        assert_eq!(req.encode().len(), req.encoded_len());
+        let decoded = SubmitRequest::decode(&req.encode()).unwrap();
+        assert_eq!(decoded, req);
     }
 }

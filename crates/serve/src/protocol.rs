@@ -179,9 +179,18 @@ impl<'a> Cursor<'a> {
 }
 
 impl SubmitRequest {
-    /// Encode as a SUBMIT frame payload.
+    /// Length of the [`SubmitRequest::encode`] payload: version, fault
+    /// kind and pass, the two length-prefixed strings, the data length and
+    /// the data.
+    pub(crate) fn encoded_len(&self) -> usize {
+        1 + 1 + 2 + (2 + self.script.len()) + (2 + self.name.len()) + 4 + self.data.len()
+    }
+
+    /// Encode as a SUBMIT frame payload. The strings' length prefixes are
+    /// `u16`: callers must keep `script` and `name` within 65,535 bytes
+    /// ([`crate::client::Client::submit`] checks).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() + 64);
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.push(VERSION);
         let (fk, fp) = self.fault.map_or((0, 0), |f| (f.kind, f.pass));
         out.push(fk);

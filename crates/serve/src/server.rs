@@ -18,7 +18,7 @@ use xsfq_aig::pass::{PassArenas, PassGuards, Script};
 use xsfq_core::SynthesisFlow;
 use xsfq_exec::{CancelToken, ThreadPool};
 use xsfq_lint::{has_errors, lint_aig, render_json, CheckLevel};
-use xsfq_netlist::writers::write_verilog;
+use xsfq_netlist::writers::{json_escape, write_verilog};
 use xsfq_timing::TimingOptions;
 
 use crate::cache::{CacheKey, ResultCache};
@@ -156,22 +156,6 @@ struct Shared {
     /// depends on (guards, deadline presence, flow defaults).
     guard_fp: String,
     default_script: String,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The structured failure verdict (`xsfq-serve-verdict/1`).
