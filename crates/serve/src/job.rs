@@ -3,6 +3,10 @@
 use std::path::PathBuf;
 use std::sync::mpsc;
 
+use xsfq_aig::pass::Script;
+use xsfq_aig::Aig;
+
+use crate::cache::CacheKey;
 use crate::protocol::FaultSpec;
 
 /// Where a finished job's response goes.
@@ -23,17 +27,23 @@ pub enum JobSink {
     Discard,
 }
 
-/// One admitted synthesis job.
+/// One admitted synthesis job: the submission as admission read it, once.
+/// The queue moves jobs by value, so the large parts are boxed.
 #[derive(Debug)]
 pub struct Job {
     /// Journal id — unique across daemon restarts.
     pub id: u64,
-    /// Design name (client override or netlist-derived); display only.
+    /// Design name: the client's override, else the netlist's own name;
+    /// display only.
     pub name: String,
-    /// Pass script; empty means the server default.
-    pub script: String,
-    /// Raw netlist bytes (BLIF or AIGER, sniffed by content).
-    pub data: Vec<u8>,
+    /// The parsed design (BLIF or AIGER, sniffed by content at admission).
+    pub aig: Box<Aig>,
+    /// The parsed pass script — the server default when the submission
+    /// left its script empty.
+    pub script: Script,
+    /// The result-cache key: the design's canonical digest, the script
+    /// text and the server's flow fingerprint.
+    pub key: Box<CacheKey>,
     /// Chaos fault request (chaos builds only).
     pub fault: Option<FaultSpec>,
     /// Response destination.

@@ -52,11 +52,16 @@
 //! load. Watched-directory jobs are never lost by shedding — the file
 //! stays in the directory and is retried on the next poll.
 //!
-//! **Durability.** Every accepted job is journaled (`state_dir/journal.log`
-//! plus a spool file with the full submission) *before* it is queued, and
-//! marked done when it reaches a terminal state. A daemon killed at any
-//! point — including `kill -9` mid-synthesis — restarts, replays the
-//! journal, and requeues exactly the accepted-but-unfinished jobs
+//! **Durability.** Admission reads each submission once — script, netlist,
+//! lint, canonical digest — and answers what it cannot accept on the spot:
+//! a `parse` verdict for bytes that do not parse, a `rejected` one for a bad
+//! script, a refused fault request or lint findings. Those answers are not
+//! journaled; no job exists yet. Every accepted job is journaled
+//! (`state_dir/journal.log` plus a spool file with the full submission)
+//! *before* it is queued, and marked done when it reaches a terminal state
+//! (`ok`, `err`, or `shed` when a full queue refuses it). A daemon killed
+//! at any point — including `kill -9` mid-synthesis — restarts, replays
+//! the journal, and requeues exactly the accepted-but-unfinished jobs
 //! (at-least-once semantics). Recovered TCP jobs re-run for the result
 //! cache and the journal's completion record (their clients are gone);
 //! recovered directory jobs still write their result files.
@@ -66,10 +71,10 @@
 //! `guards`. Transient failures — worker panics and guard trips — are
 //! retried with exponential backoff (`retry_base × 2^attempt`) up to
 //! `retry_limit` times before the client sees the final verdict;
-//! deterministic failures (parse errors, verification failures,
-//! deadlines) fail fast. Faults never cross job boundaries: a panicking
-//! design returns a `panicked` verdict while the jobs around it are
-//! unaffected (chaos-soak tested, bit-identical to solo runs).
+//! deterministic failures (verification failures, deadlines) fail fast.
+//! Faults never cross job boundaries: a panicking design returns a
+//! `panicked` verdict while the jobs around it are unaffected (chaos-soak
+//! tested, bit-identical to solo runs).
 //!
 //! **Result cache.** Results are cached under the key *(canonical AIG
 //! digest, script, guard fingerprint)*. The digest
@@ -80,7 +85,8 @@
 //! under `cache_budget` bytes; 0 disables it.
 //!
 //! **Static checking.** `check` sets the [`CheckLevel`] for admission and
-//! every job. At the default `Stage`, a submission that parses but is
+//! every job. Parsing happens at admission whatever the level; `Off` skips
+//! only the lint. At the default `Stage`, a submission that parses but is
 //! structurally ill-formed (duplicate ports, an output shadowing an input,
 //! …) is *rejected at admission* — the client gets a `rejected` verdict
 //! whose `diags` field carries the lint findings as an
@@ -90,12 +96,17 @@
 //! as a `flow` verdict naming the lint codes instead of corrupt output.
 //! `Paranoid` additionally validates the AIG after every optimization
 //! pass and audits the cut arena — for debugging passes, not production
-//! (expect measurable per-job overhead). `Off` restores the unchecked
-//! fast path; the verdict `diags` field is then always `[]`. The checking
-//! level is part of the result-cache fingerprint, so flipping it never
-//! serves stale bytes. Recovered jobs are re-linted at replay: a spool
-//! that a stricter level now rejects reaches a terminal journal state
-//! instead of replaying forever.
+//! (expect measurable per-job overhead). Under `Off` the verdict `diags`
+//! field is always `[]`. The checking level is part of the result-cache
+//! fingerprint, so flipping it never serves stale bytes. Recovered jobs are re-admitted at replay: a spool
+//! this build cannot read, or that a stricter level now rejects, reaches a
+//! terminal journal state instead of replaying forever.
+//!
+//! **Stats.** The STATS frame (`xsfq-serve-stats/1`) counts `accepted` —
+//! jobs queued, recovered ones included, so not the submissions answered at
+//! admission; `completed` and `failed` — terminal verdicts, where `failed`
+//! includes `parse` answers and refused recovered jobs but not `rejected`
+//! answers to fresh submissions; `shed`, `retries` and `recovered`.
 //!
 //! **Timing and constraints.** Setting `ServeConfig::timing` (a
 //! [`xsfq_timing::TimingOptions`]) runs the flow's post-Map Timing stage

@@ -270,17 +270,24 @@ pub fn encode_result_segments(netlist: &[u8], report: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Split [`encode_result_segments`] output back into `(netlist, report)`.
+pub(crate) fn split_result_segments(segments: &[u8]) -> Result<(&[u8], &[u8]), ProtocolError> {
+    let mut c = Cursor {
+        buf: segments,
+        at: 0,
+    };
+    let n = c.u32()? as usize;
+    let netlist = c.take(n)?;
+    let n = c.u32()? as usize;
+    Ok((netlist, c.take(n)?))
+}
+
 /// Compose the full OK body from a cache-hit flag and encoded segments.
 pub fn encode_ok_body(cache_hit: bool, segments: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(segments.len() + 1);
     out.push(cache_hit as u8);
     out.extend_from_slice(segments);
     out
-}
-
-/// Encode the body bytes of an OK response (without the frame header).
-pub fn encode_ok(cache_hit: bool, netlist: &[u8], report: &[u8]) -> Vec<u8> {
-    encode_ok_body(cache_hit, &encode_result_segments(netlist, report))
 }
 
 /// Encode the body bytes of an ERR response.
@@ -301,14 +308,11 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolErr
     match kind {
         KIND_OK => {
             let cache_hit = c.u8()? != 0;
-            let n = c.u32()? as usize;
-            let netlist = c.take(n)?.to_vec();
-            let n = c.u32()? as usize;
-            let report = c.take(n)?.to_vec();
+            let (netlist, report) = split_result_segments(&payload[1..])?;
             Ok(Response::Ok {
                 cache_hit,
-                netlist,
-                report,
+                netlist: netlist.to_vec(),
+                report: report.to_vec(),
             })
         }
         KIND_ERR => {
@@ -389,7 +393,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        let ok = encode_ok(true, b"module m;", b"{}");
+        let ok = encode_ok_body(true, &encode_result_segments(b"module m;", b"{}"));
         assert_eq!(
             decode_response(KIND_OK, &ok).unwrap(),
             Response::Ok {

@@ -151,15 +151,23 @@ impl JobQueue {
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use crate::job::{Job, JobSink};
     use std::sync::Arc;
+    use xsfq_aig::digest::Digest;
+    use xsfq_aig::pass::Script;
 
     fn job(id: u64) -> Job {
         Job {
             id,
             name: format!("j{id}"),
-            script: String::new(),
-            data: Vec::new(),
+            aig: Box::default(),
+            script: Script::single("b"),
+            key: Box::new(CacheKey {
+                digest: Digest([0; 16]),
+                script: "b".into(),
+                guards: String::new(),
+            }),
             fault: None,
             sink: JobSink::Discard,
             attempt: 0,

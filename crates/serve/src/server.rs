@@ -15,8 +15,9 @@ use std::time::Duration;
 use xsfq_aig::digest::canonical_digest;
 use xsfq_aig::io::read_netlist_auto;
 use xsfq_aig::pass::{PassArenas, PassGuards, Script};
+use xsfq_aig::Aig;
 use xsfq_core::SynthesisFlow;
-use xsfq_exec::{CancelToken, ThreadPool};
+use xsfq_exec::{panic_message, CancelToken, ThreadPool};
 use xsfq_lint::{has_errors, lint_aig, render_json, CheckLevel};
 use xsfq_netlist::writers::{json_escape, write_verilog};
 use xsfq_timing::TimingOptions;
@@ -74,7 +75,8 @@ pub struct ServeConfig {
     /// default `Stage` lints submissions at admission (ill-formed netlists
     /// are rejected with structured diagnostics instead of occupying a
     /// shard) and validates each job's intermediate structures between
-    /// flow stages. `Off` restores the unchecked fast path.
+    /// flow stages. `Off` skips both; admission still parses every
+    /// submission and answers unparsable bytes with a `parse` verdict.
     pub check: CheckLevel,
     /// Optional timing stage for every job (see `xsfq_core::FlowOptions::
     /// timing`): static arrival/slack analysis plus slack-matching JTL
@@ -158,31 +160,33 @@ struct Shared {
     default_script: String,
 }
 
-/// The structured failure verdict (`xsfq-serve-verdict/1`).
-fn verdict_json(
-    kind: &str,
-    name: &str,
-    pass: Option<&str>,
-    attempts: u32,
+/// A failure verdict before it is rendered as `xsfq-serve-verdict/1`
+/// JSON (see [`verdict_json`]).
+struct Verdict {
+    kind: &'static str,
+    pass: Option<String>,
     elapsed_ms: u64,
-    detail: &str,
-) -> String {
-    verdict_json_diags(kind, name, pass, attempts, elapsed_ms, detail, "[]")
+    detail: String,
+    /// Pre-rendered `xsfq-lint-diags/1` JSON array (see [`render_json`]);
+    /// `[]` for verdicts that carry no lint findings.
+    diags: String,
 }
 
-/// [`verdict_json`] with lint findings attached: `diags` is a pre-rendered
-/// `xsfq-lint-diags/1` JSON array (see [`render_json`]), `[]` when none.
-#[allow(clippy::too_many_arguments)]
-fn verdict_json_diags(
-    kind: &str,
-    name: &str,
-    pass: Option<&str>,
-    attempts: u32,
-    elapsed_ms: u64,
-    detail: &str,
-    diags: &str,
-) -> String {
-    let pass = match pass {
+impl Verdict {
+    fn new(kind: &'static str, detail: impl Into<String>) -> Verdict {
+        Verdict {
+            kind,
+            pass: None,
+            elapsed_ms: 0,
+            detail: detail.into(),
+            diags: "[]".into(),
+        }
+    }
+}
+
+/// The structured failure verdict (`xsfq-serve-verdict/1`).
+fn verdict_json(v: &Verdict, name: &str, attempts: u32) -> String {
+    let pass = match &v.pass {
         Some(p) => format!("\"{}\"", json_escape(p)),
         None => "null".into(),
     };
@@ -190,12 +194,12 @@ fn verdict_json_diags(
         "{{\"schema\":\"xsfq-serve-verdict/1\",\"name\":\"{}\",\"kind\":\"{}\",\
          \"pass\":{},\"attempts\":{},\"elapsed_ms\":{},\"detail\":\"{}\",\"diags\":{}}}",
         json_escape(name),
-        json_escape(kind),
+        json_escape(v.kind),
         pass,
         attempts,
-        elapsed_ms,
-        json_escape(detail),
-        diags
+        v.elapsed_ms,
+        json_escape(&v.detail),
+        v.diags
     )
 }
 
@@ -203,66 +207,160 @@ fn busy_hint_ms(queue_len: usize) -> u32 {
     (50 + 25 * queue_len as u32).min(2000)
 }
 
-enum Admit {
-    Queued,
+/// How a submission ended.
+enum Outcome<'a> {
+    /// Synthesized, or replayed from the cache: the encoded result
+    /// segments (see [`protocol::encode_result_segments`]).
+    Ok { cache_hit: bool, segments: &'a [u8] },
+    /// Failed or refused.
+    Err(Verdict),
+    /// Shed: resubmit after the hinted delay in milliseconds.
     Busy(u32),
-    Rejected {
-        msg: String,
-        /// Pre-rendered `xsfq-lint-diags/1` JSON array; `[]` for
-        /// rejections that carry no lint findings.
-        diags: String,
-    },
 }
 
-impl Admit {
-    fn rejected(msg: impl Into<String>) -> Admit {
-        Admit::Rejected {
-            msg: msg.into(),
-            diags: "[]".into(),
-        }
-    }
-}
-
-/// The single admission path: validate, make durable, enqueue. Shared by
-/// TCP submissions, directory drops, and journal recovery (`recovered`
-/// jobs skip re-journaling — their `S` record already exists).
-fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Option<u64>) -> Admit {
-    if sh.draining.load(Ordering::SeqCst) && recovered.is_none() {
-        return Admit::Busy(busy_hint_ms(sh.queue.ready_len()));
-    }
-    if let Some(f) = request.fault {
-        if !(1..=3).contains(&f.kind) {
-            return Admit::rejected(format!("unknown fault kind {}", f.kind));
-        }
-        if !cfg!(feature = "chaos") {
-            return Admit::rejected("fault injection requires a chaos build");
-        }
-    }
-    let script = if request.script.is_empty() {
-        sh.default_script.clone()
-    } else {
-        request.script.clone()
+/// Settle a submission: the one place an outcome becomes an answer.
+/// Counters first, then the `D` record (only for journaled submissions,
+/// `id` set), then the answer through `sink` — so anyone who observes the
+/// durable record, or reacts to the answer, already sees the updated stats.
+fn settle(
+    sh: &Shared,
+    sink: &JobSink,
+    id: Option<u64>,
+    name: &str,
+    attempt: u32,
+    outcome: Outcome,
+) {
+    let (counter, status) = match &outcome {
+        Outcome::Ok { .. } => (Some(&sh.stats.completed), "ok"),
+        // A fresh submission refused at admission never became a job.
+        Outcome::Err(v) if v.kind == "rejected" && id.is_none() => (None, "err"),
+        Outcome::Err(_) => (Some(&sh.stats.failed), "err"),
+        // Shedding counts only jobs already journaled; a drain refuses
+        // submissions before that.
+        Outcome::Busy(_) => (id.map(|_| &sh.stats.shed), "shed"),
     };
-    if let Err(e) = Script::parse(&script) {
-        return Admit::rejected(format!("bad script: {e}"));
+    if let Some(counter) = counter {
+        // Ordering: Relaxed — the counter-before-journal *program* order
+        // is what carries the invariant (observers of the durable D record
+        // see the bump via the journal's lock); the counter itself
+        // publishes nothing. The stats-vs-journal regression in the serve
+        // model_gate pins this shape.
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    // Admission-time lint: a submission that parses but is structurally
-    // ill-formed (duplicate ports, output shadowing an input, …) would
-    // fail deep inside the flow — or worse, synthesize a netlist with
-    // colliding dual-rail port names. Reject it here with the findings
-    // attached. Bytes that do not parse at all stay on the in-job path,
-    // which answers with the richer per-format `parse` verdict.
-    if sh.check >= CheckLevel::Stage {
-        if let Ok(aig) = read_netlist_auto(&request.data) {
-            let diags = lint_aig(&aig);
-            if has_errors(&diags) {
-                return Admit::Rejected {
-                    msg: format!("submission failed lint with {} finding(s)", diags.len()),
-                    diags: render_json(&diags),
-                };
+    if let Some(id) = id {
+        let _ = sh.journal.record_done(id, status);
+    }
+    match sink {
+        JobSink::Tcp(tx) => {
+            let frame = match &outcome {
+                Outcome::Ok {
+                    cache_hit,
+                    segments,
+                } => (KIND_OK, protocol::encode_ok_body(*cache_hit, segments)),
+                Outcome::Err(v) => (
+                    KIND_ERR,
+                    protocol::encode_err(v.kind, verdict_json(v, name, attempt).as_bytes()),
+                ),
+                Outcome::Busy(ms) => (KIND_BUSY, ms.to_be_bytes().to_vec()),
+            };
+            // A send error means the client hung up; the work is still
+            // journaled and cached, which is all at-least-once promises.
+            let _ = tx.send(frame);
+        }
+        JobSink::Dir { base } => {
+            let write = |extension: &str, bytes: &[u8]| {
+                if let Some(parent) = base.parent() {
+                    let _ = fs::create_dir_all(parent);
+                }
+                let _ = fs::write(base.with_extension(extension), bytes);
+            };
+            match &outcome {
+                Outcome::Ok { segments, .. } => {
+                    if let Ok((netlist, report)) = protocol::split_result_segments(segments) {
+                        write("v", netlist);
+                        write("json", report);
+                    }
+                }
+                Outcome::Err(v) => write("err.json", verdict_json(v, name, attempt).as_bytes()),
+                // The watcher keeps a shed file for its next poll.
+                Outcome::Busy(_) => {}
             }
         }
+        JobSink::Discard => {}
     }
+}
+
+/// Read a submission, once: check its fault request, parse its script
+/// and netlist, lint the design (at `Stage` and above) and compute its
+/// result-cache key.
+fn read_submission(
+    sh: &Shared,
+    request: &SubmitRequest,
+) -> Result<(Aig, Script, CacheKey), Verdict> {
+    if let Some(f) = request.fault {
+        if !(1..=3).contains(&f.kind) {
+            return Err(Verdict::new(
+                "rejected",
+                format!("unknown fault kind {}", f.kind),
+            ));
+        }
+        if !cfg!(feature = "chaos") {
+            return Err(Verdict::new(
+                "rejected",
+                "fault injection requires a chaos build",
+            ));
+        }
+    }
+    let text = if request.script.is_empty() {
+        &sh.default_script
+    } else {
+        &request.script
+    };
+    let script =
+        Script::parse(text).map_err(|e| Verdict::new("rejected", format!("bad script: {e}")))?;
+    let aig = read_netlist_auto(&request.data).map_err(|e| Verdict::new("parse", e.to_string()))?;
+    // A submission that parses but is structurally ill-formed (duplicate
+    // ports, output shadowing an input, …) would fail deep inside the flow
+    // — or worse, synthesize a netlist with colliding dual-rail port
+    // names. Reject it here with the findings attached.
+    if sh.check >= CheckLevel::Stage {
+        let diags = lint_aig(&aig);
+        if has_errors(&diags) {
+            return Err(Verdict {
+                diags: render_json(&diags),
+                ..Verdict::new(
+                    "rejected",
+                    format!("submission failed lint with {} finding(s)", diags.len()),
+                )
+            });
+        }
+    }
+    let key = CacheKey {
+        digest: canonical_digest(&aig),
+        script: text.clone(),
+        guards: sh.guard_fp.clone(),
+    };
+    Ok((aig, script, key))
+}
+
+/// The single admission path, shared by TCP submissions, directory drops
+/// and journal recovery: read the submission, make it durable, enqueue it
+/// — or answer it on the spot through `sink`. Recovered jobs keep their
+/// journal id and skip re-journaling (their `S` record already exists).
+/// Returns false when the submission was shed with BUSY.
+fn admit(sh: &Shared, request: SubmitRequest, sink: JobSink, recovered: Option<u64>) -> bool {
+    if sh.draining.load(Ordering::SeqCst) && recovered.is_none() {
+        let hint = busy_hint_ms(sh.queue.ready_len());
+        settle(sh, &sink, None, &request.name, 0, Outcome::Busy(hint));
+        return false;
+    }
+    let (aig, script, key) = match read_submission(sh, &request) {
+        Ok(read) => read,
+        Err(v) => {
+            settle(sh, &sink, recovered, &request.name, 0, Outcome::Err(v));
+            return true;
+        }
+    };
     let id = match recovered {
         Some(id) => id,
         None => {
@@ -274,16 +372,24 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
             // Durability before acceptance: a job the client saw admitted
             // must be recoverable. A journal write failure refuses the job.
             if let Err(e) = sh.journal.record_submit(id, &request, dir_base) {
-                return Admit::rejected(format!("journal write failed: {e}"));
+                let v = Verdict::new("rejected", format!("journal write failed: {e}"));
+                settle(sh, &sink, None, &request.name, 0, Outcome::Err(v));
+                return true;
             }
             id
         }
     };
+    let name = if request.name.is_empty() {
+        aig.name().to_string()
+    } else {
+        request.name
+    };
     let job = Job {
         id,
-        name: request.name,
+        name,
+        aig: Box::new(aig),
         script,
-        data: request.data,
+        key: Box::new(key),
         fault: request.fault,
         sink,
         attempt: 0,
@@ -298,123 +404,42 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
     match pushed {
         Ok(()) => {
             // Ordering: Relaxed — stats counters are monotonic telemetry;
-            // any cross-thread invariant (e.g. "counter bumped before the
-            // journal's D record is observable") rides on the journal's
-            // lock, never on the counters' own ordering. Pinned by the
-            // serve model_gate's PR-7 regression pair.
+            // any cross-thread invariant rides on the journal's lock, see
+            // settle.
             sh.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            Admit::Queued
+            true
         }
         Err(job) => {
-            // Ordering: Relaxed — telemetry, see above.
-            sh.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let _ = sh.journal.record_done(job.id, "shed");
-            Admit::Busy(busy_hint_ms(sh.queue.ready_len()))
+            let shed = Outcome::Busy(busy_hint_ms(sh.queue.ready_len()));
+            settle(sh, &job.sink, Some(job.id), &job.name, 0, shed);
+            false
         }
     }
 }
 
-/// Send a finished job's response to wherever it goes.
-fn deliver(sink: &JobSink, kind: u8, body: &[u8]) {
-    match sink {
-        JobSink::Tcp(tx) => {
-            // A send error means the client hung up; the work is still
-            // journaled and cached, which is all at-least-once promises.
-            let _ = tx.send((kind, body.to_vec()));
-        }
-        JobSink::Dir { base } => {
-            let write = |path: PathBuf, bytes: &[u8]| {
-                if let Some(parent) = path.parent() {
-                    let _ = fs::create_dir_all(parent);
-                }
-                let _ = fs::write(path, bytes);
-            };
-            match protocol::decode_response(kind, body) {
-                Ok(protocol::Response::Ok {
-                    netlist, report, ..
-                }) => {
-                    write(base.with_extension("v"), &netlist);
-                    write(base.with_extension("json"), &report);
-                }
-                Ok(protocol::Response::Err { verdict, .. }) => {
-                    write(base.with_extension("err.json"), &verdict);
-                }
-                _ => {}
-            }
-        }
-        JobSink::Discard => {}
-    }
-}
-
-/// Settle a successful job: counters, then journal, then response — so
-/// anyone who observes the durable `D` record (or reacts to the response)
-/// already sees the updated stats.
-fn finish_ok(sh: &Shared, job: &Job, body: &[u8]) {
-    // Ordering: Relaxed — the counter-before-journal *program* order is
-    // what carries the invariant (observers of the durable D record see
-    // the bump via the journal's lock); the counter itself publishes
-    // nothing. The serve model_gate PR-7 regression pins this shape.
-    sh.stats.completed.fetch_add(1, Ordering::Relaxed);
-    let _ = sh.journal.record_done(job.id, "ok");
-    deliver(&job.sink, KIND_OK, body);
-}
-
-/// Settle a failed job the same way.
-fn finish_err(sh: &Shared, job: &Job, kind: &str, verdict: &str) {
-    // Ordering: Relaxed — same counter-before-journal shape as finish_ok.
-    sh.stats.failed.fetch_add(1, Ordering::Relaxed);
-    let _ = sh.journal.record_done(job.id, "err");
-    deliver(
-        &job.sink,
-        KIND_ERR,
-        &protocol::encode_err(kind, verdict.as_bytes()),
-    );
-}
-
-/// Run one job to a terminal state (or requeue it for retry).
-fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job) {
-    let aig = match read_netlist_auto(&job.data) {
-        Ok(aig) => aig,
-        Err(e) => {
-            let v = verdict_json("parse", &job.name, None, job.attempt, 0, &e.to_string());
-            finish_err(sh, &job, "parse", &v);
-            return;
-        }
-    };
-    if job.name.is_empty() {
-        job.name = aig.name().to_string();
-    }
+/// Run one admitted job to a terminal state (or requeue it for retry):
+/// probe the cache, then run the flow.
+fn process(sh: &Shared, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job) {
     // Fault-injected jobs bypass the cache in both directions: a hit would
     // skip synthesis — and the requested fault with it — and a faulted
     // run's output must never be served to healthy resubmissions.
     let faulted = job.fault.is_some();
-    let key = CacheKey {
-        digest: canonical_digest(&aig),
-        script: job.script.clone(),
-        guards: sh.guard_fp.clone(),
-    };
     if !faulted {
-        if let Some(segments) = sh.cache.get(&key) {
-            finish_ok(sh, &job, &protocol::encode_ok_body(true, &segments));
+        if let Some(segments) = sh.cache.get(&job.key) {
+            let hit = Outcome::Ok {
+                cache_hit: true,
+                segments: &segments,
+            };
+            settle(sh, &job.sink, Some(job.id), &job.name, job.attempt, hit);
             return;
         }
     }
 
-    let mut flow = match SynthesisFlow::new()
+    let mut flow = SynthesisFlow::new()
         .guards(sh.guards.clone())
         .check(sh.check)
         .cancel_token(sh.cancel.clone())
-        .script_str(&job.script)
-    {
-        Ok(flow) => flow,
-        // Admission validated the script, so this only fires when a
-        // recovered spool carries a script a newer build rejects.
-        Err(e) => {
-            let v = verdict_json("script", &job.name, None, job.attempt, 0, &e.to_string());
-            finish_err(sh, &job, "script", &v);
-            return;
-        }
-    };
+        .script(job.script.clone());
     if let Some(d) = sh.job_deadline {
         flow = flow.job_deadline(d);
     }
@@ -434,17 +459,21 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
 
     // Tiny designs take the sequential path: the budget guard drops at the
     // end of the job, restoring the shard's full parallelism.
-    let _budget = (aig.num_ands() < SMALL_JOB_ANDS).then(|| pool.scoped_budget(1));
-    match flow.run_job(&aig, pool, arenas) {
+    let _budget = (job.aig.num_ands() < SMALL_JOB_ANDS).then(|| pool.scoped_budget(1));
+    match flow.run_job(&job.aig, pool, arenas) {
         Ok(result) => {
             let mut netlist = Vec::new();
             write_verilog(result.netlist(), &mut netlist).expect("write netlist to memory");
             let report = result.report.to_json();
             let segments = protocol::encode_result_segments(&netlist, report.as_bytes());
             if !faulted {
-                sh.cache.put(key, segments.clone());
+                sh.cache.put((*job.key).clone(), segments.clone());
             }
-            finish_ok(sh, &job, &protocol::encode_ok_body(false, &segments));
+            let done = Outcome::Ok {
+                cache_hit: false,
+                segments: &segments,
+            };
+            settle(sh, &job.sink, Some(job.id), &job.name, job.attempt, done);
         }
         Err(e) => {
             if e.kind.is_transient() && job.attempt < sh.retry_limit {
@@ -460,16 +489,12 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
                     Err(back) => job = back,
                 }
             }
-            let kind = e.kind.name();
-            let v = verdict_json(
-                kind,
-                &job.name,
-                e.pass.as_deref(),
-                job.attempt,
-                e.elapsed.as_millis() as u64,
-                &e.to_string(),
-            );
-            finish_err(sh, &job, kind, &v);
+            let failed = Outcome::Err(Verdict {
+                pass: e.pass.clone(),
+                elapsed_ms: e.elapsed.as_millis() as u64,
+                ..Verdict::new(e.kind.name(), e.to_string())
+            });
+            settle(sh, &job.sink, Some(job.id), &job.name, job.attempt, failed);
         }
     }
 }
@@ -481,7 +506,7 @@ fn worker_loop(sh: Arc<Shared>) {
     let mut arenas = PassArenas::default();
     while let Some(job) = sh.queue.pop() {
         // The shard thread must survive any single job: a panic that
-        // escapes `process` (e.g. a parser bug on untrusted input) would
+        // escapes `process` (e.g. a flow bug on some design) would
         // otherwise kill the shard, and — because the job never reaches a
         // terminal journal state — replay and kill another one on every
         // restart. Catch it, settle the job as failed, and move on.
@@ -493,27 +518,13 @@ fn worker_loop(sh: Arc<Shared>) {
             // The arenas were abandoned mid-pass; start fresh rather than
             // trust their internal invariants.
             arenas = PassArenas::default();
-            let detail = panic_message(payload.as_ref());
-            let v = verdict_json("panicked", &name, None, attempt, 0, &detail);
-            // Ordering: Relaxed — counter-before-journal, as finish_err.
-            sh.stats.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = sh.journal.record_done(id, "err");
-            deliver(
-                &sink,
-                KIND_ERR,
-                &protocol::encode_err("panicked", v.as_bytes()),
+            let detail = format!(
+                "job processing panicked: {}",
+                panic_message(payload.as_ref())
             );
+            let v = Verdict::new("panicked", detail);
+            settle(&sh, &sink, Some(id), &name, attempt, Outcome::Err(v));
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("job processing panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("job processing panicked: {s}")
-    } else {
-        "job processing panicked".into()
     }
 }
 
@@ -557,44 +568,26 @@ fn connection(sh: &Arc<Shared>, mut stream: TcpStream) {
                 }
             }
             KIND_SUBMIT => {
-                let reject = |stream: &mut TcpStream, msg: &str, diags: &str| {
-                    let v = verdict_json_diags("rejected", "", None, 0, 0, msg, diags);
-                    write_frame(
-                        stream,
-                        KIND_ERR,
-                        &protocol::encode_err("rejected", v.as_bytes()),
-                    )
-                };
-                let request = match SubmitRequest::decode(&payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let _ = reject(&mut stream, &format!("bad submit payload: {e}"), "[]");
-                        return;
-                    }
-                };
                 let (tx, rx) = mpsc::channel();
-                match admit(sh, request, JobSink::Tcp(tx), None) {
-                    Admit::Queued => match rx.recv() {
-                        Ok((kind, body)) => {
-                            if write_frame(&mut stream, kind, &body).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = reject(&mut stream, "server shut down mid-job", "[]");
-                            return;
-                        }
-                    },
-                    Admit::Busy(ms) => {
-                        if write_frame(&mut stream, KIND_BUSY, &ms.to_be_bytes()).is_err() {
-                            return;
-                        }
+                let sink = JobSink::Tcp(tx);
+                let decoded = SubmitRequest::decode(&payload);
+                let keep_open = decoded.is_ok();
+                match decoded {
+                    Ok(request) => {
+                        admit(sh, request, sink, None);
                     }
-                    Admit::Rejected { msg, diags } => {
-                        if reject(&mut stream, &msg, &diags).is_err() {
-                            return;
-                        }
+                    Err(e) => {
+                        let v = Verdict::new("rejected", format!("bad submit payload: {e}"));
+                        settle(sh, &sink, None, "", 0, Outcome::Err(v));
                     }
+                }
+                // Every submission is answered through its sink: at
+                // admission, or by the shard that settles the job. Relay
+                // that answer; a payload that did not decode ends the
+                // connection after its answer.
+                let Ok((kind, body)) = rx.recv() else { return };
+                if write_frame(&mut stream, kind, &body).is_err() || !keep_open {
+                    return;
                 }
             }
             _ => return, // unknown request kind: drop the connection
@@ -676,29 +669,20 @@ fn watcher_loop(sh: Arc<Shared>, watch_dir: PathBuf, out_dir: PathBuf) {
                 .and_then(|s| s.to_str())
                 .unwrap_or("job")
                 .to_string();
+            let sink = JobSink::Dir {
+                base: out_dir.join(&stem),
+            };
             let request = SubmitRequest {
                 script: String::new(),
-                name: stem.clone(),
+                name: stem,
                 data,
                 fault: None,
             };
-            let base = out_dir.join(&stem);
-            match admit(&sh, request, JobSink::Dir { base: base.clone() }, None) {
-                Admit::Queued => {
-                    let _ = fs::remove_file(&path);
-                    sizes.remove(&path);
-                }
-                // Queue full: leave the file in place, retry next poll.
-                Admit::Busy(_) => {}
-                Admit::Rejected { msg, diags } => {
-                    let v = verdict_json_diags("rejected", &stem, None, 0, 0, &msg, &diags);
-                    if let Some(parent) = base.parent() {
-                        let _ = fs::create_dir_all(parent);
-                    }
-                    let _ = fs::write(base.with_extension("err.json"), v);
-                    let _ = fs::remove_file(&path);
-                    sizes.remove(&path);
-                }
+            // A shed file stays in place for the next poll; any other
+            // answer consumes it.
+            if admit(&sh, request, sink, None) {
+                let _ = fs::remove_file(&path);
+                sizes.remove(&path);
             }
         }
         thread::sleep(Duration::from_millis(100));
@@ -762,31 +746,11 @@ impl Server {
             };
             // Ordering: Relaxed — telemetry counter (see admit).
             shared.stats.recovered.fetch_add(1, Ordering::Relaxed);
-            let (id, name) = (r.id, r.request.name.clone());
-            match admit(&shared, r.request, sink.clone(), Some(r.id)) {
-                Admit::Queued => {}
-                // Recovered jobs bypass the capacity check and drain never
-                // starts before recovery, so Busy is unreachable; if it
-                // ever fires, admit has already journaled the job as shed.
-                Admit::Busy(_) => {}
-                // A spool this build no longer accepts (script rejected by
-                // a newer parser, fault spec on a non-chaos build) must
-                // still reach a terminal journal state, or it replays and
-                // is re-rejected at every startup and its spool file is
-                // never reclaimed.
-                Admit::Rejected { msg, diags } => {
-                    // Ordering: Relaxed — counter-before-journal, as
-                    // finish_err.
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = shared.journal.record_done(id, "err");
-                    let v = verdict_json_diags("rejected", &name, None, 0, 0, &msg, &diags);
-                    deliver(
-                        &sink,
-                        KIND_ERR,
-                        &protocol::encode_err("rejected", v.as_bytes()),
-                    );
-                }
-            }
+            // Recovery re-admits: a spool this build no longer accepts
+            // (a script or netlist it cannot read, a fault spec on a
+            // non-chaos build) is settled there with a terminal journal
+            // record, so it never replays again.
+            admit(&shared, r.request, sink, Some(r.id));
         }
 
         let listener = TcpListener::bind(&cfg.addr)?;

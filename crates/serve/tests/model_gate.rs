@@ -22,8 +22,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
+use xsfq_aig::digest::Digest;
+use xsfq_aig::pass::Script;
 use xsfq_model::thread;
 use xsfq_model::Explorer;
+use xsfq_serve::cache::CacheKey;
 use xsfq_serve::job::{Job, JobSink};
 use xsfq_serve::queue::JobQueue;
 
@@ -31,8 +34,13 @@ fn job(id: u64) -> Job {
     Job {
         id,
         name: format!("j{id}"),
-        script: String::new(),
-        data: Vec::new(),
+        aig: Box::default(),
+        script: Script::single("b"),
+        key: Box::new(CacheKey {
+            digest: Digest([0; 16]),
+            script: "b".into(),
+            guards: String::new(),
+        }),
         fault: None,
         sink: JobSink::Discard,
         attempt: 0,
@@ -141,10 +149,10 @@ fn delayed_retry_comes_due_on_the_modeled_clock() {
 // Regression: the PR-7 stats-vs-journal observation race (fixed in 924f41a)
 // ---------------------------------------------------------------------------
 
-/// Distilled `finish_ok` shape from `server.rs`: a worker settling a job
+/// Distilled `settle` shape from `server.rs`: a worker settling a job
 /// updates the completion counter and appends the durable journal `D`
 /// record, while an observer reads the journal and then the stats. The
-/// invariant (documented on `finish_ok`): anyone who observes the durable
+/// invariant (documented on `settle`): anyone who observes the durable
 /// record already sees the updated counter.
 ///
 /// Pre-fix, the journal append came first, so an observer could see the

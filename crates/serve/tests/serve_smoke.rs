@@ -10,7 +10,7 @@ use xsfq_aig::Aig;
 use xsfq_core::SynthesisFlow;
 use xsfq_netlist::writers::write_verilog;
 use xsfq_serve::protocol::{Response, SubmitRequest};
-use xsfq_serve::{Client, ServeConfig, Server};
+use xsfq_serve::{CheckLevel, Client, ServeConfig, Server};
 
 const SCRIPT: &str = "fast";
 
@@ -336,34 +336,96 @@ fn stats_frame_reports_progress() {
 #[test]
 fn recovered_job_rejected_by_admission_reaches_a_terminal_state() {
     let state = tmpdir("recover-reject");
-    // Simulate a previous incarnation that accepted a job this build's
-    // admission rejects (unparsable script), then crashed before a D
-    // record: journal the S record directly and drop the journal.
-    {
+    // Simulate a previous incarnation that accepted jobs this build's
+    // admission rejects, then crashed before their D records: journal the
+    // S records directly and drop the journal. One job carries an
+    // unparsable script (missing repeat count); the other a valid script
+    // over netlist bytes that do not parse.
+    let ids: Vec<u64> = {
         let (j, recovered) = xsfq_serve::journal::Journal::open(&state).unwrap();
         assert!(recovered.is_empty());
-        let id = j.next_id();
-        j.record_submit(
-            id,
-            &SubmitRequest {
-                script: "repeat { b }".into(), // missing count: parse error
-                name: "stale".into(),
-                data: b"junk".to_vec(),
-                fault: None,
-            },
-            None,
-        )
-        .unwrap();
-    }
-    // First restart recovers the job; admission rejects it, which must
-    // still journal a terminal state — not leave it to replay forever.
+        [("repeat { b }", "stale"), (SCRIPT, "unparsable")]
+            .into_iter()
+            .map(|(script, name)| {
+                let id = j.next_id();
+                let request = SubmitRequest {
+                    script: script.into(),
+                    name: name.into(),
+                    data: b"junk".to_vec(),
+                    fault: None,
+                };
+                j.record_submit(id, &request, None).unwrap();
+                id
+            })
+            .collect()
+    };
+    // The restart recovers both jobs; admission rejects them, which must
+    // still journal a terminal state — not leave them to replay forever.
     let server = Server::start(ServeConfig::new(&state)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let Response::Stats(json) = client.stats().unwrap() else {
+        panic!("expected Stats");
+    };
+    let json = String::from_utf8(json).unwrap();
+    assert!(json.contains("\"recovered\":2"), "{json}");
+    assert!(json.contains("\"failed\":2"), "{json}");
     server.shutdown();
+    let log = fs::read_to_string(state.join("journal.log")).unwrap();
+    for id in ids {
+        assert!(
+            log.lines().any(|l| l == format!("D {id} err")),
+            "job {id} has no D record: {log}"
+        );
+        assert!(
+            !state.join("spool").join(format!("{id}.job")).exists(),
+            "job {id}'s spool file survived"
+        );
+    }
     let (_, recovered) = xsfq_serve::journal::Journal::open(&state).unwrap();
     assert!(
         recovered.is_empty(),
-        "rejected recovered job must not replay: {recovered:?}"
+        "rejected recovered jobs must not replay: {recovered:?}"
     );
+    let _ = fs::remove_dir_all(&state);
+}
+
+#[test]
+fn unparsable_bytes_are_answered_at_admission_with_checking_off() {
+    let state = tmpdir("parse-off");
+    let mut cfg = ServeConfig::new(&state);
+    cfg.check = CheckLevel::Off;
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // `Off` skips lint, not parsing: the bytes still get a `parse`
+    // verdict, and nothing is journaled for them.
+    match submit(&mut client, "junk", b"\x00\x01\x02 not a netlist".to_vec()) {
+        Response::Err { kind, verdict } => {
+            assert_eq!(kind, "parse");
+            let v = String::from_utf8(verdict).unwrap();
+            assert!(v.contains("\"kind\":\"parse\""), "{v}");
+            assert!(v.contains("\"name\":\"junk\""), "{v}");
+        }
+        other => panic!("expected Err, got {other:?}"),
+    }
+    // A healthy submission afterwards is journaled as usual.
+    let ok = submit(
+        &mut client,
+        "buf",
+        b".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n".to_vec(),
+    );
+    assert!(matches!(ok, Response::Ok { .. }), "{ok:?}");
+    let Response::Stats(json) = client.stats().unwrap() else {
+        panic!("expected Stats");
+    };
+    let json = String::from_utf8(json).unwrap();
+    assert!(json.contains("\"accepted\":1"), "{json}");
+    assert!(json.contains("\"completed\":1"), "{json}");
+    assert!(json.contains("\"failed\":1"), "{json}");
+    server.shutdown();
+    let log = fs::read_to_string(state.join("journal.log")).unwrap();
+    let submits = log.lines().filter(|l| l.starts_with("S ")).count();
+    assert_eq!(submits, 1, "only the healthy job is journaled: {log}");
     let _ = fs::remove_dir_all(&state);
 }
 
