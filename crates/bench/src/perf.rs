@@ -233,9 +233,10 @@ pub fn flow_pass_rows() -> Vec<FlowPassRow> {
 /// round trip pays parse + full flow + netlist/report encoding — the
 /// daemon's steady-state cost per job including journal fsyncs.
 /// `cache_hit` warms the cache with one run and then resubmits the same
-/// design, isolating the protocol + digest + cache-replay path; the gap
-/// between the two rows is what the canonical-AIG cache buys a repeated
-/// workload.
+/// design, isolating the protocol + parse + lint + digest + cache-replay
+/// path. Admission answers a hit on the connection thread, so this row
+/// pays no journal fsync and no queue hop; the gap between the two rows
+/// is what the canonical-AIG cache buys a repeated workload.
 pub fn bench_serve(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("xsfq-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -879,7 +879,8 @@ impl SynthesisFlow {
     /// [`xsfq_exec::ThreadPool::scoped_budget`]), reusing the caller's warm
     /// [`PassArenas`] across jobs. Every failure mode surfaces as a
     /// structured [`JobError`] with `design == 0`; a chaos plan installed
-    /// via [`SynthesisFlow::chaos_plan`] addresses this job as design 0.
+    /// via `SynthesisFlow::chaos_plan` (chaos builds) addresses this job as
+    /// design 0.
     ///
     /// Must not be called from inside a parallel section of `pool` (the
     /// executor forbids nested sections).

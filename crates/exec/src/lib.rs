@@ -124,7 +124,8 @@ pub type CancelToken = CancelTokenImpl<0>;
 /// The implementation behind [`CancelToken`], parameterized by a seeded
 /// mutation selector for the model-checker gates (`MUT == 0`, the only
 /// variant the alias exposes, is the correct code; the branches on other
-/// values are const-folded away in normal builds). See [`mutants`].
+/// values are const-folded away in normal builds). See `mutants` (model
+/// builds).
 #[derive(Clone, Debug, Default)]
 pub struct CancelTokenImpl<const MUT: u8> {
     flag: Arc<AtomicBool>,
@@ -286,8 +287,8 @@ pub type Deque = DequeImpl<0>;
 /// The implementation behind [`Deque`], parameterized by a seeded mutation
 /// selector for the model-checker gates. `MUT == 0` — the only variant the
 /// [`Deque`] alias exposes — is the correct Lê et al. code; the non-zero
-/// branches reintroduce one classic bug each (see [`mutants`]) and are
-/// const-folded away in normal builds.
+/// branches reintroduce one classic bug each (see `mutants`, model builds)
+/// and are const-folded away in normal builds.
 ///
 /// Task slots are `Relaxed` atomics (the paper's C11 array formulation):
 /// a slot written by `push` races benignly with stale reads in `steal`,

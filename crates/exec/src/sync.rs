@@ -5,7 +5,7 @@
 //! types — zero cost, zero behavioural difference; the bench guard
 //! (`BENCH_10.json`, `flow/guarded_run` pair) and the bit-identical tier-1
 //! gates pin that. With `--features model` the same paths resolve to the
-//! [`xsfq_model`] instrumented runtime instead, which lets the `model_gate`
+//! `xsfq_model` instrumented runtime instead, which lets the `model_gate`
 //! test suite deterministically enumerate thread interleavings (including
 //! store-buffer reorderings of the non-SeqCst operations) around the very
 //! code that ships.

@@ -14,7 +14,8 @@ use crate::protocol::FaultSpec;
 pub enum JobSink {
     /// A connection thread is blocked on this channel; send the encoded
     /// response frame `(kind, payload)`. A send error means the client
-    /// hung up — the result is still journaled and cached.
+    /// hung up — the result is still cached, and a queued job's terminal
+    /// state is still journaled.
     Tcp(mpsc::Sender<(u8, Vec<u8>)>),
     /// A job-directory submission: write `<base>.v` + `<base>.json` on
     /// success, `<base>.err.json` on failure.

@@ -1,6 +1,6 @@
 //! Append-only job journal: crash recovery as a replay problem.
 //!
-//! Every accepted job is made durable *before* it is queued: its full
+//! Every queued job is made durable *before* it is queued: its full
 //! submit payload is spooled to `state_dir/spool/<id>.job` (the wire
 //! encoding, reused verbatim) and an `S <id> <spool-file>` line is
 //! appended — and flushed — to `state_dir/journal.log`. Completion (in
@@ -11,6 +11,10 @@
 //! * `S` without `D` — accepted but not finished: the spool file replays
 //!   the job through the normal path (at-least-once semantics);
 //! * `S` and `D` — finished; the spool file is deleted at compaction.
+//!
+//! Submissions answered at admission — refusals and result-cache hits —
+//! never get an `S` record: their answer is complete before admission
+//! returns, so there is no accepted-but-unfinished state to recover.
 //!
 //! The journal is plain text, one record per line, and replay tolerates a
 //! torn final line (the crash may have landed mid-append). On open, the

@@ -53,18 +53,23 @@
 //! stays in the directory and is retried on the next poll.
 //!
 //! **Durability.** Admission reads each submission once — script, netlist,
-//! lint, canonical digest — and answers what it cannot accept on the spot:
+//! lint, canonical digest — and answers on the spot what it need not queue:
 //! a `parse` verdict for bytes that do not parse, a `rejected` one for a bad
-//! script, a refused fault request or lint findings. Those answers are not
-//! journaled; no job exists yet. Every accepted job is journaled
-//! (`state_dir/journal.log` plus a spool file with the full submission)
-//! *before* it is queued, and marked done when it reaches a terminal state
-//! (`ok`, `err`, or `shed` when a full queue refuses it). A daemon killed
-//! at any point — including `kill -9` mid-synthesis — restarts, replays
-//! the journal, and requeues exactly the accepted-but-unfinished jobs
-//! (at-least-once semantics). Recovered TCP jobs re-run for the result
-//! cache and the journal's completion record (their clients are gone);
-//! recovered directory jobs still write their result files.
+//! script, a refused fault request or lint findings, and the cached result
+//! of a result-cache hit. Those answers are not journaled: each is complete
+//! before admission returns, so nothing is left to recover. (A daemon that
+//! dies before sending one leaves the TCP client a transport error to
+//! resubmit on, and a watched file still in its directory.) Every job that
+//! is queued is journaled (`state_dir/journal.log` plus a spool file with
+//! the full submission) *before* it is queued, and marked done when it
+//! reaches a terminal state (`ok`, `err`, or `shed` when a full queue
+//! refuses it); a directory job's result files are written before that
+//! record. A daemon killed at any point — including `kill -9`
+//! mid-synthesis — restarts, replays the journal, and requeues exactly the
+//! accepted-but-unfinished jobs (at-least-once semantics). Recovered TCP
+//! jobs re-run for the result cache and the journal's completion record
+//! (their clients are gone); recovered directory jobs still write their
+//! result files.
 //!
 //! **Deadlines and retries.** Each job runs under `job_deadline`
 //! (wall-clock, counted from job start) and the per-pass resource
@@ -81,7 +86,12 @@
 //! ([`xsfq_aig::digest::canonical_digest`]) is renaming- and
 //! node-order-independent, so the same circuit resubmitted from a
 //! different tool's writer hits. A hit returns the exact bytes the
-//! original run produced, flagged with `cache_hit = 1`. The cache is LRU
+//! original run produced, flagged with `cache_hit = 1`. Admission is the
+//! only place that probes the cache: it answers a hit on the admitting
+//! thread (connection, watcher or recovery), with no journal record and no
+//! queue hop, so hits never wait behind misses on a busy shard; the
+//! shards only synthesize misses and insert their results. Fault-injected
+//! submissions bypass the cache in both directions. The cache is LRU
 //! under `cache_budget` bytes; 0 disables it.
 //!
 //! **Static checking.** `check` sets the [`CheckLevel`] for admission and
@@ -103,10 +113,14 @@
 //! terminal journal state instead of replaying forever.
 //!
 //! **Stats.** The STATS frame (`xsfq-serve-stats/1`) counts `accepted` —
-//! jobs queued, recovered ones included, so not the submissions answered at
-//! admission; `completed` and `failed` — terminal verdicts, where `failed`
-//! includes `parse` answers and refused recovered jobs but not `rejected`
-//! answers to fresh submissions; `shed`, `retries` and `recovered`.
+//! jobs queued, recovered ones included, plus cache hits answered at
+//! admission, but not the submissions refused there; `completed` and
+//! `failed` — terminal verdicts, where `completed` includes cache hits and
+//! `failed` includes `parse` answers and refused recovered jobs but not
+//! `rejected` answers to fresh submissions; `shed`, `retries` and
+//! `recovered`. Its `cache` object counts `hits` and `misses` once per
+//! submission that reached the cache probe (every readable submission
+//! without a fault request).
 //!
 //! **Timing and constraints.** Setting `ServeConfig::timing` (a
 //! [`xsfq_timing::TimingOptions`]) runs the flow's post-Map Timing stage

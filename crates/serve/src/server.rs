@@ -219,9 +219,11 @@ enum Outcome<'a> {
 }
 
 /// Settle a submission: the one place an outcome becomes an answer.
-/// Counters first, then the `D` record (only for journaled submissions,
-/// `id` set), then the answer through `sink` — so anyone who observes the
-/// durable record, or reacts to the answer, already sees the updated stats.
+/// Counters first, so anyone who observes the durable record, or reacts to
+/// the answer, already sees the updated stats. Then a directory answer's
+/// result files, then the `D` record (only for journaled submissions, `id`
+/// set), then a TCP answer: a crash before the `D` record replays the job
+/// and rewrites its files, while one after it finds them already written.
 fn settle(
     sh: &Shared,
     sink: &JobSink,
@@ -247,46 +249,43 @@ fn settle(
         // model_gate pins this shape.
         counter.fetch_add(1, Ordering::Relaxed);
     }
+    if let JobSink::Dir { base } = sink {
+        let write = |extension: &str, bytes: &[u8]| {
+            if let Some(parent) = base.parent() {
+                let _ = fs::create_dir_all(parent);
+            }
+            let _ = fs::write(base.with_extension(extension), bytes);
+        };
+        match &outcome {
+            Outcome::Ok { segments, .. } => {
+                if let Ok((netlist, report)) = protocol::split_result_segments(segments) {
+                    write("v", netlist);
+                    write("json", report);
+                }
+            }
+            Outcome::Err(v) => write("err.json", verdict_json(v, name, attempt).as_bytes()),
+            // The watcher keeps a shed file for its next poll.
+            Outcome::Busy(_) => {}
+        }
+    }
     if let Some(id) = id {
         let _ = sh.journal.record_done(id, status);
     }
-    match sink {
-        JobSink::Tcp(tx) => {
-            let frame = match &outcome {
-                Outcome::Ok {
-                    cache_hit,
-                    segments,
-                } => (KIND_OK, protocol::encode_ok_body(*cache_hit, segments)),
-                Outcome::Err(v) => (
-                    KIND_ERR,
-                    protocol::encode_err(v.kind, verdict_json(v, name, attempt).as_bytes()),
-                ),
-                Outcome::Busy(ms) => (KIND_BUSY, ms.to_be_bytes().to_vec()),
-            };
-            // A send error means the client hung up; the work is still
-            // journaled and cached, which is all at-least-once promises.
-            let _ = tx.send(frame);
-        }
-        JobSink::Dir { base } => {
-            let write = |extension: &str, bytes: &[u8]| {
-                if let Some(parent) = base.parent() {
-                    let _ = fs::create_dir_all(parent);
-                }
-                let _ = fs::write(base.with_extension(extension), bytes);
-            };
-            match &outcome {
-                Outcome::Ok { segments, .. } => {
-                    if let Ok((netlist, report)) = protocol::split_result_segments(segments) {
-                        write("v", netlist);
-                        write("json", report);
-                    }
-                }
-                Outcome::Err(v) => write("err.json", verdict_json(v, name, attempt).as_bytes()),
-                // The watcher keeps a shed file for its next poll.
-                Outcome::Busy(_) => {}
-            }
-        }
-        JobSink::Discard => {}
+    if let JobSink::Tcp(tx) = sink {
+        let frame = match &outcome {
+            Outcome::Ok {
+                cache_hit,
+                segments,
+            } => (KIND_OK, protocol::encode_ok_body(*cache_hit, segments)),
+            Outcome::Err(v) => (
+                KIND_ERR,
+                protocol::encode_err(v.kind, verdict_json(v, name, attempt).as_bytes()),
+            ),
+            Outcome::Busy(ms) => (KIND_BUSY, ms.to_be_bytes().to_vec()),
+        };
+        // A send error means the client hung up; a miss is still journaled
+        // and cached, which is all at-least-once promises.
+        let _ = tx.send(frame);
     }
 }
 
@@ -344,10 +343,13 @@ fn read_submission(
 }
 
 /// The single admission path, shared by TCP submissions, directory drops
-/// and journal recovery: read the submission, make it durable, enqueue it
-/// — or answer it on the spot through `sink`. Recovered jobs keep their
-/// journal id and skip re-journaling (their `S` record already exists).
-/// Returns false when the submission was shed with BUSY.
+/// and journal recovery: read the submission, probe the result cache, and
+/// answer a hit on the spot through `sink`; otherwise make the job durable
+/// and enqueue it. A hit is not journaled: it is fully answered before
+/// `admit` returns, so there is nothing to recover. Recovered jobs keep
+/// their journal id and skip re-journaling (their `S` record already
+/// exists), so even a recovered hit gets its terminal record. Returns
+/// false when the submission was shed with BUSY.
 fn admit(sh: &Shared, request: SubmitRequest, sink: JobSink, recovered: Option<u64>) -> bool {
     if sh.draining.load(Ordering::SeqCst) && recovered.is_none() {
         let hint = busy_hint_ms(sh.queue.ready_len());
@@ -361,6 +363,23 @@ fn admit(sh: &Shared, request: SubmitRequest, sink: JobSink, recovered: Option<u
             return true;
         }
     };
+    // The only cache probe, so each submission counts once in the cache's
+    // hit/miss stats. Fault-injected requests bypass the cache in both
+    // directions: a hit would skip synthesis — and the requested fault
+    // with it — and a faulted run's output is never cached (see `process`).
+    if request.fault.is_none() {
+        if let Some(segments) = sh.cache.get(&key) {
+            // Ordering: Relaxed — telemetry counter; settle's counter-
+            // before-journal order covers the recovered hit's D record.
+            sh.stats.accepted.fetch_add(1, Ordering::Relaxed);
+            let hit = Outcome::Ok {
+                cache_hit: true,
+                segments: &segments,
+            };
+            settle(sh, &sink, recovered, &request.name, 0, hit);
+            return true;
+        }
+    }
     let id = match recovered {
         Some(id) => id,
         None => {
@@ -418,23 +437,9 @@ fn admit(sh: &Shared, request: SubmitRequest, sink: JobSink, recovered: Option<u
 }
 
 /// Run one admitted job to a terminal state (or requeue it for retry):
-/// probe the cache, then run the flow.
+/// synthesize it and cache the result. Admission already answered every
+/// cache hit, so a job here is a miss (or a fault-injected run).
 fn process(sh: &Shared, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job) {
-    // Fault-injected jobs bypass the cache in both directions: a hit would
-    // skip synthesis — and the requested fault with it — and a faulted
-    // run's output must never be served to healthy resubmissions.
-    let faulted = job.fault.is_some();
-    if !faulted {
-        if let Some(segments) = sh.cache.get(&job.key) {
-            let hit = Outcome::Ok {
-                cache_hit: true,
-                segments: &segments,
-            };
-            settle(sh, &job.sink, Some(job.id), &job.name, job.attempt, hit);
-            return;
-        }
-    }
-
     let mut flow = SynthesisFlow::new()
         .guards(sh.guards.clone())
         .check(sh.check)
@@ -466,7 +471,9 @@ fn process(sh: &Shared, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job
             write_verilog(result.netlist(), &mut netlist).expect("write netlist to memory");
             let report = result.report.to_json();
             let segments = protocol::encode_result_segments(&netlist, report.as_bytes());
-            if !faulted {
+            // A faulted run's output must never be served to healthy
+            // resubmissions.
+            if job.fault.is_none() {
                 sh.cache.put((*job.key).clone(), segments.clone());
             }
             let done = Outcome::Ok {

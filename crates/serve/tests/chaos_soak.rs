@@ -8,6 +8,8 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xsfq_aig::io::write_blif;
@@ -156,6 +158,84 @@ fn fault_mix_leaves_healthy_jobs_bit_identical() {
     assert!(json.contains("\"completed\":4"), "{json}");
     assert!(json.contains("\"failed\":3"), "{json}");
     server.shutdown();
+    let _ = fs::remove_dir_all(&state);
+}
+
+/// A cache hit is answered at admission, so it never waits in the queue
+/// behind a shard that is busy with a miss: with one shard pinned by a
+/// stalled job, resubmitting a warm design still answers at once.
+#[test]
+fn cache_hit_does_not_wait_behind_a_stalled_shard() {
+    let state = tmpdir("hit-stall");
+    let mut cfg = ServeConfig::new(&state);
+    cfg.shards = 1;
+    // The stall ends only at its deadline, or when shutdown's grace runs
+    // out: far later than any hit answered at admission.
+    cfg.job_deadline = Some(Duration::from_secs(30));
+    cfg.drain_grace = Duration::from_millis(100);
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr();
+    let warm = blif_bytes(&xsfq_benchmarks::by_name("int2float").unwrap());
+    let mut client = Client::connect(addr).unwrap();
+    let first = client
+        .submit(&submit_request("int2float", warm.clone(), None))
+        .unwrap();
+    assert!(
+        matches!(
+            first,
+            Response::Ok {
+                cache_hit: false,
+                ..
+            }
+        ),
+        "{first:?}"
+    );
+
+    let stall_answered = Arc::new(AtomicBool::new(false));
+    let stall = std::thread::spawn({
+        let data = blif_bytes(&xsfq_benchmarks::by_name("dec").unwrap());
+        let answered = Arc::clone(&stall_answered);
+        move || {
+            let mut c = Client::connect(addr).unwrap();
+            let answer = c.submit(&submit_request(
+                "stall",
+                data,
+                Some(FaultSpec { kind: 2, pass: 0 }),
+            ));
+            answered.store(true, Ordering::SeqCst);
+            answer
+        }
+    });
+    // The shard has dequeued the stall job once it is accepted and no
+    // longer queued.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    wait_for(deadline, "stall job to occupy the shard", || {
+        let stats = stats_of(&addr.to_string());
+        stats.contains("\"accepted\":2") && stats.contains("\"queue_len\":0")
+    });
+
+    let hit = client
+        .submit(&submit_request("int2float", warm, None))
+        .unwrap();
+    assert!(
+        !stall_answered.load(Ordering::SeqCst),
+        "the stall ended before the hit was answered"
+    );
+    assert!(
+        matches!(
+            hit,
+            Response::Ok {
+                cache_hit: true,
+                ..
+            }
+        ),
+        "{hit:?}"
+    );
+    server.shutdown();
+    match stall.join().unwrap() {
+        Ok(Response::Err { .. }) => {}
+        other => panic!("stalled job: expected Err, got {other:?}"),
+    }
     let _ = fs::remove_dir_all(&state);
 }
 

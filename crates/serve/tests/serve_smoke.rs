@@ -118,8 +118,8 @@ fn resubmission_hits_the_cache_with_identical_bytes() {
         panic!("expected a cache-miss Ok, got {first:?}");
     };
 
-    // Same design again — and again through an AIGER writer's view of it:
-    // the canonical digest sees through the format change.
+    // The same BLIF again. (An AIGER copy would not hit: the AIGER reader
+    // names every design `aiger`, and the digest covers the design name.)
     let second = submit(&mut client, "ctrl", blif_bytes(&aig));
     match second {
         Response::Ok {
@@ -216,6 +216,22 @@ fn watched_directory_jobs_produce_result_files() {
         !watch.join("int2float.blif").exists(),
         "ingested job files are consumed"
     );
+
+    // A second drop of the same design is a cache hit, answered at
+    // admission with the first run's exact bytes. The watcher consumes the
+    // file only after admission has written the results, so wait for both.
+    let report = fs::read(&ok_json).unwrap();
+    fs::remove_file(&ok_v).unwrap();
+    fs::remove_file(&ok_json).unwrap();
+    let src = watch.join("int2float.blif");
+    fs::write(&src, blif_bytes(&aig)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while (!ok_v.exists() || !ok_json.exists() || src.exists()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(fs::read(&ok_v).expect("hit netlist file"), netlist);
+    assert_eq!(fs::read(&ok_json).expect("hit report file"), report);
+    assert!(!src.exists(), "a hit's job file is consumed");
     server.shutdown();
     let _ = fs::remove_dir_all(&state);
 }
@@ -326,10 +342,26 @@ fn stats_frame_reports_progress() {
         panic!("expected Stats");
     };
     let json = String::from_utf8(json).unwrap();
-    assert!(json.contains("\"schema\":\"xsfq-serve-stats/1\""), "{json}");
-    assert!(json.contains("\"completed\":2"), "{json}");
-    assert!(json.contains("\"hits\":1"), "{json}");
+    // The hit is answered at admission: it counts as accepted and
+    // completed, and once in the cache's hit/miss split.
+    for want in [
+        "\"schema\":\"xsfq-serve-stats/1\"",
+        "\"accepted\":2",
+        "\"completed\":2",
+        "\"hits\":1",
+        "\"misses\":1",
+    ] {
+        assert!(json.contains(want), "missing {want}: {json}");
+    }
     server.shutdown();
+    // ...but it is never journaled. Read before any reopen: opening the
+    // journal compacts it.
+    let log = fs::read_to_string(state.join("journal.log")).unwrap();
+    let count = |prefix: &str| log.lines().filter(|l| l.starts_with(prefix)).count();
+    assert_eq!(count("S "), 1, "only the miss is journaled: {log}");
+    assert_eq!(count("D "), 1, "only the miss is journaled: {log}");
+    let spools = fs::read_dir(state.join("spool")).unwrap().count();
+    assert_eq!(spools, 0, "no spool file outlives its job");
     let _ = fs::remove_dir_all(&state);
 }
 

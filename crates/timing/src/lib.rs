@@ -31,9 +31,10 @@
 //! # Timing model
 //!
 //! Launch points are primary inputs (arrive at t = 0) and clocked-cell
-//! outputs (arrive at clock-to-Q: [`CellLibrary::droc_delay`] per rail for
-//! DROC — the Qp/Qn asymmetry is a real skew source the balancer must
-//! absorb — and `delay_ps` for clocked RSFQ cells). Capture points are
+//! outputs (arrive at clock-to-Q:
+//! [`CellLibrary::droc_delay`](xsfq_cells::CellLibrary::droc_delay) per
+//! rail for DROC — the Qp/Qn asymmetry is a real skew source the balancer
+//! must absorb — and `delay_ps` for clocked RSFQ cells). Capture points are
 //! primary outputs and clocked-cell data inputs. Combinational cells
 //! propagate conservative windows: earliest-in + delay for the window
 //! minimum, latest-in + delay for the maximum (for first-arrival cells
